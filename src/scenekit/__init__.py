@@ -27,13 +27,7 @@ from .gradcheck import finite_difference_check
 from .head import HeadConfig, LossConfig, kl_loss, mlp_forward
 from .model import ModelConfig, desk_model_config, init_params, model_features, model_forward
 from .params import ModelParams
-from .synthetic import (
-    TextureSpec,
-    finetune_dataset,
-    four_class_dataset,
-    make_texture_dataset,
-    pretrain_dataset,
-)
+from .synthetic import TextureSpec, four_class_dataset, make_texture_dataset
 from .tensor import (
     AutodiffError,
     NumericError,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .configdict import ConfigDict
 from .params import ModelParams
 from .tensor import (
     ShapeError,
@@ -28,42 +29,23 @@ POOL_MODES = ("average", "max")
 
 
 @dataclass(frozen=True)
-class AttentionConfig:
+class AttentionConfig(ConfigDict):
     """Multihead attention pooling settings.
 
     Defaults are the full-scale values (16 heads, key dimension 128);
     CPU-scale runs typically use 4 heads and key dimension 16. The two
     streams share ``stream_pool_mode`` but have independent weights.
-    ``concat_axis`` is "channel" ([B, 2C]) by default; "batch" produces
-    the literal [2B, C] layout, which no per-image classifier can
-    consume and exists only for comparison.
     """
 
     num_heads: int = 16
     key_dim: int = 128
     stream_pool_mode: str = "average"
-    concat_axis: str = "channel"
 
     def __post_init__(self):
         if self.num_heads < 1 or self.key_dim < 1:
             raise ValueError("num_heads and key_dim must be >= 1")
         if self.stream_pool_mode not in POOL_MODES:
             raise ValueError(f"stream_pool_mode must be one of {POOL_MODES}")
-        if self.concat_axis not in ("channel", "batch"):
-            raise ValueError("concat_axis must be 'channel' or 'batch'")
-
-    def to_dict(self) -> dict:
-        return {
-            "num_heads": self.num_heads,
-            "key_dim": self.key_dim,
-            "stream_pool_mode": self.stream_pool_mode,
-            "concat_axis": self.concat_axis,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "AttentionConfig":
-        return AttentionConfig(int(d["num_heads"]), int(d["key_dim"]),
-                               d["stream_pool_mode"], d["concat_axis"])
 
 
 STREAM_PREFIXES = ("attn.w", "attn.h")
@@ -118,8 +100,8 @@ def attention_pool(fmap: Tensor, cfg: AttentionConfig, params: ModelParams) -> T
     """Pool a [B, W, H, C] feature map through the two attention streams.
 
     Width stream: pool out H, attend along W, pool out W. Height stream:
-    pool out W, attend along H, pool out H. Channel-axis concat yields
-    [B, 2C]; the "batch" concat_axis yields the [2B, C] variant.
+    pool out W, attend along H, pool out H. The two [B, C] results are
+    joined along the channel axis into [B, 2C].
     """
     if fmap.ndim != 4:
         raise ShapeError(f"attention_pool expects [B, W, H, C], got {fmap.shape}")
@@ -128,8 +110,7 @@ def attention_pool(fmap: Tensor, cfg: AttentionConfig, params: ModelParams) -> T
     height_seq = pool_axis(fmap, 1, mode)  # [B, H, C]
     width_out = pool_axis(multihead_attention(width_seq, cfg, params, "attn.w"), 1, mode)
     height_out = pool_axis(multihead_attention(height_seq, cfg, params, "attn.h"), 1, mode)
-    axis = 1 if cfg.concat_axis == "channel" else 0
-    return concat([width_out, height_out], axis=axis)
+    return concat([width_out, height_out], axis=1)
 
 
 def global_pool(fmap: Tensor, mode: str) -> Tensor:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .configdict import ConfigDict
+
 ROTATION_ANGLES = (90, 180, 270)
 
 
@@ -35,7 +37,7 @@ class LabeledBatch:
 
 
 @dataclass(frozen=True)
-class MixupConfig:
+class MixupConfig(ConfigDict):
     """Mix-ratio sources: one uniform draw and one Beta draw per pair.
 
     Beta(0.2, 0.2) is the usual convention from the mixup literature.
@@ -51,15 +53,6 @@ class MixupConfig:
             raise ValueError("need 0 <= uniform_low < uniform_high <= 1")
         if self.beta_alpha <= 0 or self.beta_beta <= 0:
             raise ValueError("Beta parameters must be > 0")
-
-    def to_dict(self) -> dict:
-        return {"uniform_low": self.uniform_low, "uniform_high": self.uniform_high,
-                "beta_alpha": self.beta_alpha, "beta_beta": self.beta_beta}
-
-    @staticmethod
-    def from_dict(d: dict) -> "MixupConfig":
-        return MixupConfig(float(d["uniform_low"]), float(d["uniform_high"]),
-                           float(d["beta_alpha"]), float(d["beta_beta"]))
 
 
 def rotate(img: np.ndarray, angle: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .configdict import ConfigDict
 from .params import ModelParams
 from .tensor import ShapeError, Tensor, add, from_op, relu
 
@@ -23,7 +24,7 @@ class ConvStage:
 
 
 @dataclass(frozen=True)
-class BackboneConfig:
+class BackboneConfig(ConfigDict):
     """Stage list for the convolutional trunk; activations are ReLU."""
 
     stages: tuple[ConvStage, ...] = (
@@ -45,19 +46,6 @@ class BackboneConfig:
                     f"stage kernel {st.kernel} exceeds remaining extent {extent}")
             extent = (extent - st.kernel) // st.stride + 1
         return extent
-
-    def to_dict(self) -> dict:
-        return {
-            "stages": [[s.out_channels, s.kernel, s.stride] for s in self.stages],
-            "in_channels": self.in_channels,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "BackboneConfig":
-        return BackboneConfig(
-            stages=tuple(ConvStage(*s) for s in d["stages"]),
-            in_channels=int(d["in_channels"]),
-        )
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int) -> Tensor:

@@ -38,7 +38,7 @@ from .fusion import (
 )
 from .gradcheck import finite_difference_check
 from .head import kl_loss
-from .model import desk_model_config, init_params, model_forward
+from .model import gradcheck_model_config, init_params, model_forward
 from .plot import write_history_svg
 from .tensor import Tensor
 from .trainer import evaluate, load_history, save_history, train
@@ -177,11 +177,20 @@ def _load_labels_file(path: Path) -> tuple[list[str], np.ndarray]:
 
 
 def cmd_fuse(args) -> int:
-    matrices, names = [], []
+    matrices, names, id_lists = [], [], []
     for path in args.probs:
-        mat, _ = load_probability_matrix(path)
+        mat, ids = load_probability_matrix(path)
         matrices.append(mat)
         names.append(Path(path).parent.name or Path(path).stem)
+        id_lists.append((path, ids))
+    if args.labels:
+        ids, labels = _load_labels_file(args.labels)
+        id_lists.append((args.labels, ids))
+    for path, ids in id_lists[1:]:
+        if ids != id_lists[0][1]:
+            print(f"error: example ids in {path} differ from those in {args.probs[0]}; "
+                  f"rows must refer to the same examples in the same order", file=sys.stderr)
+            return 2
     fusion = FusionInput(matrices, model_ids=names)
     fused = prod_fuse(fusion, normalized=args.normalized)
     out = _out_dir(args)
@@ -190,7 +199,6 @@ def cmd_fuse(args) -> int:
     outputs = [fused_path]
     settings = {"normalized": args.normalized, "models": names}
     if args.labels:
-        _, labels = _load_labels_file(args.labels)
         columns = []
         for name, mat in zip(names, matrices):
             columns.append({"pooling": "-", "networks": name,
@@ -276,13 +284,8 @@ def cmd_augment_preview(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .backbone import BackboneConfig, ConvStage
-
     rng = np.random.default_rng(args.seed)
-    model_cfg = desk_model_config(
-        num_classes=3, pool=args.pool, pool_mode=args.pool_mode,
-        hidden_width=16, num_heads=2, key_dim=4,
-        backbone=BackboneConfig(stages=(ConvStage(6, 2, 2), ConvStage(8, 2, 2))))
+    model_cfg = gradcheck_model_config(pool=args.pool, pool_mode=args.pool_mode)
     params = init_params(model_cfg, "direct", rng=rng)
     images = Tensor(rng.random((args.batch, args.image_size, args.image_size, 3)))
     targets = rng.dirichlet(np.ones(3), size=args.batch)

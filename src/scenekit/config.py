@@ -16,11 +16,13 @@ keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import configparser
+import typing
 from pathlib import Path
 
 from .attention import AttentionConfig
 from .augment import MixupConfig
 from .backbone import BackboneConfig, ConvStage
+from .configdict import ConfigDict, field_types, optional_inner
 from .head import HeadConfig, LossConfig
 from .model import ModelConfig
 from .trainer import TrainConfig
@@ -28,18 +30,16 @@ from .trainer import TrainConfig
 _BOOL_TRUE = ("1", "true", "yes", "on")
 _BOOL_FALSE = ("0", "false", "no", "off")
 
-KNOWN_KEYS = {
-    "backbone": ("stages", "in_channels"),
-    "attention": ("num_heads", "key_dim", "stream_pool_mode", "concat_axis"),
-    "head": ("hidden_width", "dropout_rate", "num_classes"),
-    "loss": ("lambda", "epsilon"),
-    "mixup": ("uniform_low", "uniform_high", "beta_alpha", "beta_beta"),
-    "model": ("pool", "zero_init_biases"),
-    "train": ("strategy", "learning_rate", "batch_size", "epochs", "optimizer",
-              "beta1", "beta2", "adam_epsilon", "seed", "crop_reduction",
-              "erase_size", "erase_fill", "val_fraction", "patience",
-              "val_acc_target"),
+SECTIONS: dict[str, type] = {
+    "backbone": BackboneConfig,
+    "attention": AttentionConfig,
+    "head": HeadConfig,
+    "loss": LossConfig,
+    "mixup": MixupConfig,
+    "model": ModelConfig,
+    "train": TrainConfig,
 }
+FILE_KEYS = {("loss", "lam"): "lambda"}  # (section, field) -> key, where they differ
 
 
 class ConfigError(ValueError):
@@ -67,6 +67,28 @@ def _parse_stages(text: str) -> tuple[ConvStage, ...]:
     return tuple(stages)
 
 
+def _parser(tp) -> typing.Callable[[str], typing.Any]:
+    if tp is bool:
+        return _parse_bool
+    if typing.get_origin(tp) is tuple:
+        return _parse_stages
+    inner = optional_inner(tp)
+    if inner is not None:
+        parse = _parser(inner)
+        return lambda text: None if text.strip().lower() in ("", "none") else parse(text)
+    return tp
+
+
+def _section_fields(section: str) -> dict[str, tuple[str, typing.Any]]:
+    """File key -> (field name, type) for each field that is not a nested config."""
+    return {FILE_KEYS.get((section, name), name): (name, tp)
+            for name, tp in field_types(SECTIONS[section]).items()
+            if not (isinstance(tp, type) and issubclass(tp, ConfigDict))}
+
+
+KNOWN_KEYS = {section: _section_fields(section) for section in SECTIONS}
+
+
 def read_config_file(path: Path) -> dict[str, dict[str, str]]:
     parser = configparser.ConfigParser()
     text = Path(path).read_text()
@@ -84,7 +106,11 @@ def read_config_file(path: Path) -> dict[str, dict[str, str]]:
 
 
 class ConfigBundle:
-    """Merged view of a config file plus command-line overrides."""
+    """Merged view of a config file plus command-line overrides.
+
+    An unset key takes its config type's default, so an empty bundle
+    gives the full-scale ``ModelConfig`` and ``TrainConfig`` defaults.
+    """
 
     def __init__(self, file_path: Path | None = None):
         self.values: dict[str, dict[str, str]] = (
@@ -97,74 +123,29 @@ class ConfigBundle:
             raise ConfigError(f"unknown config key [{section}] {key}")
         self.values.setdefault(section, {})[key] = str(value)
 
-    def _get(self, section: str, key: str, cast, default):
-        raw = self.values.get(section, {}).get(key)
-        if raw is None:
-            return default
-        try:
-            return cast(raw)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
-
-    def _get_optional(self, section: str, key: str, cast):
-        raw = self.values.get(section, {}).get(key)
-        if raw is None or raw.strip().lower() in ("", "none"):
-            return None
-        return self._get(section, key, cast, None)
+    def _build(self, section: str, **fixed):
+        """The section's config from its set keys; ``fixed`` fields win."""
+        kwargs = {}
+        for key, (name, tp) in KNOWN_KEYS[section].items():
+            raw = self.values.get(section, {}).get(key)
+            if raw is None or name in fixed:
+                continue
+            try:
+                kwargs[name] = _parser(tp)(raw)
+            except ConfigError:
+                raise
+            except ValueError as exc:
+                raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+        return SECTIONS[section](**kwargs, **fixed)
 
     def model_config(self, num_classes: int | None = None) -> ModelConfig:
-        backbone = BackboneConfig(
-            stages=self._get("backbone", "stages", _parse_stages, BackboneConfig().stages),
-            in_channels=self._get("backbone", "in_channels", int, 3),
-        )
-        attention = AttentionConfig(
-            num_heads=self._get("attention", "num_heads", int, 16),
-            key_dim=self._get("attention", "key_dim", int, 128),
-            stream_pool_mode=self._get("attention", "stream_pool_mode", str, "average"),
-            concat_axis=self._get("attention", "concat_axis", str, "channel"),
-        )
-        head = HeadConfig(
-            hidden_width=self._get("head", "hidden_width", int, 128),
-            dropout_rate=self._get("head", "dropout_rate", float, 0.2),
-            num_classes=(num_classes if num_classes is not None
-                         else self._get("head", "num_classes", int, 45)),
-        )
-        loss = LossConfig(
-            lam=self._get("loss", "lambda", float, 1e-4),
-            epsilon=self._get("loss", "epsilon", float, 1e-12),
-        )
-        return ModelConfig(
-            backbone=backbone, attention=attention, head=head, loss=loss,
-            pool=self._get("model", "pool", str, "attention"),
-            zero_init_biases=self._get("model", "zero_init_biases", _parse_bool, False),
-        )
+        head = ({} if num_classes is None else {"num_classes": num_classes})
+        return self._build(
+            "model", backbone=self._build("backbone"), attention=self._build("attention"),
+            head=self._build("head", **head), loss=self._build("loss"))
 
     def train_config(self) -> TrainConfig:
-        mixup = MixupConfig(
-            uniform_low=self._get("mixup", "uniform_low", float, 0.0),
-            uniform_high=self._get("mixup", "uniform_high", float, 1.0),
-            beta_alpha=self._get("mixup", "beta_alpha", float, 0.2),
-            beta_beta=self._get("mixup", "beta_beta", float, 0.2),
-        )
-        return TrainConfig(
-            strategy=self._get("train", "strategy", str, "direct"),
-            learning_rate=self._get_optional("train", "learning_rate", float),
-            batch_size=self._get("train", "batch_size", int, 32),
-            epochs=self._get("train", "epochs", int, 10),
-            optimizer=self._get("train", "optimizer", str, "adam"),
-            beta1=self._get("train", "beta1", float, 0.9),
-            beta2=self._get("train", "beta2", float, 0.999),
-            adam_epsilon=self._get("train", "adam_epsilon", float, 1e-8),
-            seed=self._get("train", "seed", int, 0),
-            crop_reduction=self._get("train", "crop_reduction", int, 10),
-            erase_size=self._get("train", "erase_size", int, 20),
-            erase_fill=self._get("train", "erase_fill", float, 0.0),
-            val_fraction=self._get("train", "val_fraction", float, 0.1),
-            patience=self._get_optional("train", "patience", int),
-            val_acc_target=self._get_optional("train", "val_acc_target", float),
-        )
+        return self._build("train", mixup=self._build("mixup"))
 
     def resolved(self) -> dict:
         return {section: dict(keys) for section, keys in sorted(self.values.items())}

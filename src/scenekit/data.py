@@ -119,12 +119,6 @@ class Dataset:
     def class_counts(self) -> list[int]:
         return [len(lst) for lst in self.images_by_class]
 
-    def image_shape(self) -> tuple[int, ...]:
-        for lst in self.images_by_class:
-            if lst:
-                return lst[0].shape
-        raise DatasetError("dataset is empty")
-
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Stack into ([N, W, H, C] images, [N] integer labels)."""
         images, labels = [], []

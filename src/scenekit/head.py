@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .configdict import ConfigDict
 from .params import ModelParams
 from .tensor import (
     ShapeError,
@@ -30,7 +31,7 @@ from .tensor import (
 
 
 @dataclass(frozen=True)
-class HeadConfig:
+class HeadConfig(ConfigDict):
     """Classifier head widths; 4096 is the full-scale hidden width,
     128 the usual CPU-scale setting."""
 
@@ -44,21 +45,9 @@ class HeadConfig:
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
 
-    def to_dict(self) -> dict:
-        return {
-            "hidden_width": self.hidden_width,
-            "dropout_rate": self.dropout_rate,
-            "num_classes": self.num_classes,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "HeadConfig":
-        return HeadConfig(int(d["hidden_width"]), float(d["dropout_rate"]),
-                          int(d["num_classes"]))
-
 
 @dataclass(frozen=True)
-class LossConfig:
+class LossConfig(ConfigDict):
     lam: float = 1e-4          # L2 coefficient
     epsilon: float = 1e-12     # log clamp for plain probability inputs only;
                                # head outputs use their logits, unclamped
@@ -68,13 +57,6 @@ class LossConfig:
             raise ValueError("lam must be >= 0")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be > 0")
-
-    def to_dict(self) -> dict:
-        return {"lam": self.lam, "epsilon": self.epsilon}
-
-    @staticmethod
-    def from_dict(d: dict) -> "LossConfig":
-        return LossConfig(float(d["lam"]), float(d["epsilon"]))
 
 
 def param_shapes(cfg: HeadConfig, in_width: int) -> list[tuple[str, tuple[int, ...]]]:

@@ -12,7 +12,8 @@ from . import attention as attn_mod
 from . import backbone as bb_mod
 from . import head as head_mod
 from .attention import AttentionConfig, attention_pool, global_pool
-from .backbone import BackboneConfig, backbone_forward
+from .backbone import BackboneConfig, ConvStage, backbone_forward
+from .configdict import ConfigDict
 from .head import HeadConfig, LossConfig, mlp_forward
 from .params import ModelParams
 from .tensor import ShapeError, Tensor
@@ -26,7 +27,7 @@ INIT_VARIANCE = 0.1  # direct-training init: Gaussian(mean 0, variance 0.1)
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(ConfigDict):
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
     attention: AttentionConfig = field(default_factory=AttentionConfig)
     head: HeadConfig = field(default_factory=HeadConfig)
@@ -41,9 +42,7 @@ class ModelConfig:
     @property
     def feature_width(self) -> int:
         c = self.backbone.feature_channels
-        if self.pool != "attention":
-            return c
-        return 2 * c if self.attention.concat_axis == "channel" else c
+        return 2 * c if self.pool == "attention" else c
 
     def param_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
         shapes = bb_mod.param_shapes(self.backbone)
@@ -59,27 +58,6 @@ class ModelConfig:
                 f"backbone reduces {extent}px input to {out}px; the pooling "
                 f"stage needs spatial extents >= 2")
 
-    def to_dict(self) -> dict:
-        return {
-            "backbone": self.backbone.to_dict(),
-            "attention": self.attention.to_dict(),
-            "head": self.head.to_dict(),
-            "loss": self.loss.to_dict(),
-            "pool": self.pool,
-            "zero_init_biases": self.zero_init_biases,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        return ModelConfig(
-            backbone=BackboneConfig.from_dict(d["backbone"]),
-            attention=AttentionConfig.from_dict(d["attention"]),
-            head=HeadConfig.from_dict(d["head"]),
-            loss=LossConfig.from_dict(d["loss"]),
-            pool=d["pool"],
-            zero_init_biases=bool(d["zero_init_biases"]),
-        )
-
 
 def desk_model_config(num_classes: int, pool: str = "attention",
                       pool_mode: str = "average", hidden_width: int = 128,
@@ -93,6 +71,14 @@ def desk_model_config(num_classes: int, pool: str = "attention",
         head=HeadConfig(hidden_width=hidden_width, num_classes=num_classes),
         pool=pool,
     )
+
+
+def gradcheck_model_config(pool: str = "attention", pool_mode: str = "average") -> ModelConfig:
+    """The tiny three-class model probed by full-network gradient checks."""
+    return desk_model_config(
+        num_classes=3, pool=pool, pool_mode=pool_mode, hidden_width=16,
+        num_heads=2, key_dim=4,
+        backbone=BackboneConfig(stages=(ConvStage(6, 2, 2), ConvStage(8, 2, 2))))
 
 
 def init_params(cfg: ModelConfig, strategy: str,

@@ -53,6 +53,3 @@ class ModelParams:
         for name, t in self._params.items():
             out.add(name, t.data.copy())
         return out
-
-    def count_values(self) -> int:
-        return sum(t.data.size for t in self._params.values())

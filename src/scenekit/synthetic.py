@@ -127,17 +127,6 @@ def four_class_dataset(per_class: int = 24, size: int = 16, seed: int = 7,
     return make_texture_dataset(FOUR_CLASS_SPECS, per_class, size, seed, noise=noise)
 
 
-def pretrain_dataset(per_class: int = 40, size: int = 16, seed: int = 11,
-                     noise: float = 0.05) -> Dataset:
-    return make_texture_dataset(PRETRAIN_SPECS, per_class, size, seed, noise=noise)
-
-
-def finetune_dataset(per_class: int = 12, size: int = 16, seed: int = 13,
-                     noise: float = 0.30) -> Dataset:
-    return make_texture_dataset(FINETUNE_SPECS, per_class, size, seed,
-                                noise=noise, jitter=0.2)
-
-
 def constant_class_dataset(num_classes: int, per_class: int, size: int = 4) -> Dataset:
     """Minimal dataset (one flat gray level per class) for protocol tests."""
     names = tuple(f"class{i:03d}" for i in range(num_classes))

@@ -44,10 +44,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class TapeNode:
     """One recorded operation: inputs plus the backward (VJP) rule.
 
@@ -112,27 +108,8 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Operator sugar; the free functions do the work.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return add(self, scale(other, -1.0))
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
     def sum(self) -> "Tensor":
         return tensor_sum(self)
-
-    def reshape(self, shape: tuple[int, ...]) -> "Tensor":
-        return reshape(self, shape)
-
-    def transpose(self, axes: tuple[int, ...]) -> "Tensor":
-        return transpose(self, axes)
 
 
 def from_op(op: str, inputs: Sequence[Tensor], data: np.ndarray,
@@ -299,32 +276,6 @@ def concat(xs: Sequence[Tensor], axis: int) -> Tensor:
         return np.split(g, offsets, axis=axis)
 
     return from_op("concat", tuple(xs), np.concatenate([t.data for t in xs], axis=axis), vjp)
-
-
-def split(x: Tensor, sizes: Sequence[int], axis: int) -> list[Tensor]:
-    """Cut ``x`` into consecutive pieces along ``axis`` (inverse of concat)."""
-    if not -x.ndim <= axis < x.ndim:
-        raise ShapeError(f"split: axis {axis} invalid for shape {x.shape}")
-    axis = axis % x.ndim
-    if sum(sizes) != x.shape[axis]:
-        raise ShapeError(f"split: sizes {list(sizes)} do not cover extent {x.shape[axis]}")
-    pieces = []
-    start = 0
-    for size in sizes:
-        sl = tuple(slice(start, start + size) if d == axis else slice(None)
-                   for d in range(x.ndim))
-        lo = start
-
-        def vjp(g: np.ndarray, _lo=lo, _size=size):
-            gx = np.zeros_like(x.data)
-            gsl = tuple(slice(_lo, _lo + _size) if d == axis else slice(None)
-                        for d in range(x.ndim))
-            gx[gsl] = g
-            return (gx,)
-
-        pieces.append(from_op("split", (x,), x.data[sl].copy(), vjp))
-        start += size
-    return pieces
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

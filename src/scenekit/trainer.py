@@ -17,6 +17,7 @@ import numpy as np
 
 from .augment import LabeledBatch, MixupConfig, center_crop, erase_batch, mixup_expand, random_crop
 from .checkpoint import Checkpoint
+from .configdict import ConfigDict
 from .data import Dataset, one_hot
 from .head import kl_loss
 from .model import ModelConfig, init_params, model_forward
@@ -31,7 +32,7 @@ class TrainingDivergedError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(ConfigDict):
     strategy: str = "direct"
     learning_rate: float | None = None  # None: 1e-4 direct, 1e-5 transfer
     batch_size: int = 32
@@ -60,38 +61,14 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 2")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in [0, 1)")
+        if self.patience is not None and self.val_fraction == 0.0:
+            raise ValueError("patience needs a validation split (val_fraction > 0)")
 
     @property
     def effective_learning_rate(self) -> float:
         if self.learning_rate is not None:
             return self.learning_rate
         return DEFAULT_LEARNING_RATES[self.strategy]
-
-    def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "optimizer": self.optimizer,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "adam_epsilon": self.adam_epsilon,
-            "seed": self.seed,
-            "crop_reduction": self.crop_reduction,
-            "erase_size": self.erase_size,
-            "erase_fill": self.erase_fill,
-            "mixup": self.mixup.to_dict(),
-            "val_fraction": self.val_fraction,
-            "patience": self.patience,
-            "val_acc_target": self.val_acc_target,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "TrainConfig":
-        d = dict(d)
-        d["mixup"] = MixupConfig.from_dict(d["mixup"])
-        return TrainConfig(**d)
 
 
 @dataclass
@@ -249,10 +226,6 @@ def train(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
         raise ValueError(
             f"model expects {model_cfg.head.num_classes} classes, "
             f"dataset has {num_classes}")
-    if model_cfg.pool == "attention" and model_cfg.attention.concat_axis == "batch":
-        raise ValueError(
-            "concat_axis='batch' yields two rows per image ([2B, C]) and "
-            "cannot drive a per-image classifier; use 'channel' for training")
     model_cfg.validate_input_size(images.shape[1] - train_cfg.crop_reduction)
     labels = one_hot(int_labels, num_classes)
 

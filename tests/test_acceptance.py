@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
 they complete. The training criteria (6-8) run CPU-scale synthetic
-benchmarks and dominate the runtime.
+benchmarks and dominate the runtime; they are marked ``slow``, so
+``pytest -m "not slow"`` skips them.
 """
 
 import math
@@ -19,7 +20,13 @@ from scenekit.data import one_hot, split, write_dataset_tree
 from scenekit.fusion import FusionInput, accuracy, format_fusion_report, predict_label, prod_fuse
 from scenekit.gradcheck import finite_difference_check
 from scenekit.head import HeadConfig, LossConfig, kl_loss
-from scenekit.model import ModelConfig, desk_model_config, init_params, model_forward
+from scenekit.model import (
+    ModelConfig,
+    desk_model_config,
+    gradcheck_model_config,
+    init_params,
+    model_forward,
+)
 from scenekit.params import ModelParams
 from scenekit.synthetic import (
     FINETUNE_SPECS,
@@ -41,9 +48,7 @@ def _criterion(number: int, description: str, passed: bool) -> None:
 
 def test_criterion_1_full_network_gradient_check():
     rng = np.random.default_rng(101)
-    model_cfg = desk_model_config(
-        num_classes=3, hidden_width=16, num_heads=2, key_dim=4,
-        backbone=BackboneConfig(stages=(ConvStage(6, 2, 2), ConvStage(8, 2, 2))))
+    model_cfg = gradcheck_model_config()
     params = init_params(model_cfg, "direct", rng=rng)
     images = Tensor(rng.random((4, 8, 8, 3)))
     targets = rng.dirichlet(np.ones(3), size=4)
@@ -161,6 +166,7 @@ def test_criterion_5_loss_sanity():
                abs(zero) < 1e-12 and abs(ln2 - math.log(2.0)) < 1e-9)
 
 
+@pytest.mark.slow
 def test_criterion_6_desk_scale_training():
     start = time.perf_counter()
     dataset = four_class_dataset(per_class=40, size=16, seed=7).expand_rotations()
@@ -176,6 +182,7 @@ def test_criterion_6_desk_scale_training():
                train_acc >= 95.0 and len(history) <= 200 and elapsed < 600.0)
 
 
+@pytest.mark.slow
 def test_criterion_7_transfer_learning_trend():
     head = HeadConfig(hidden_width=4096, dropout_rate=0.0, num_classes=4)
     base = desk_model_config(num_classes=4, backbone=SMALL_BACKBONE)
@@ -213,6 +220,7 @@ def test_criterion_7_transfer_learning_trend():
                   f"seeds ({wins}/5: {'; '.join(details)})", wins >= 4)
 
 
+@pytest.mark.slow
 def test_criterion_8_ensemble_report(capsys):
     backbone_a = SMALL_BACKBONE
     backbone_b = BackboneConfig(stages=(ConvStage(12, 3, 1), ConvStage(24, 2, 2),

@@ -98,12 +98,6 @@ class TestAttentionPool:
             fmap = Tensor(rng.standard_normal((b, w, h, c)))
             assert attention_pool(fmap, cfg, params).shape == (b, 2 * c)
 
-    def test_batch_concat_variant(self):
-        cfg = AttentionConfig(num_heads=2, key_dim=4, concat_axis="batch")
-        params = make_params(cfg, channels=8, seed=12)
-        fmap = Tensor(np.random.default_rng(13).standard_normal((3, 4, 5, 8)))
-        assert attention_pool(fmap, cfg, params).shape == (6, 8)
-
     def test_streams_have_independent_parameters(self):
         cfg = AttentionConfig(num_heads=2, key_dim=4)
         c = 6

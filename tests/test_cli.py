@@ -126,6 +126,27 @@ class TestFuseCommand:
         single, _ = load_probability_matrix(eval_dir / "probs.txt")
         assert np.array_equal(fused.argmax(axis=1), single.argmax(axis=1))
 
+    @pytest.mark.parametrize("swapped", ["probs.txt", "labels.txt"])
+    def test_rows_in_another_order_rejected(self, data_dir, trained_dir, tmp_path,
+                                            capsys, swapped):
+        eval_dir = tmp_path / "e1"
+        main(["eval", "--data", str(data_dir),
+              "--from", str(trained_dir / "checkpoint.ckpt"), "--out", str(eval_dir)])
+        other = tmp_path / "e2"
+        other.mkdir()
+        for name in ("probs.txt", "labels.txt"):
+            lines = (eval_dir / name).read_text().splitlines()
+            if name == swapped:
+                first = 1 if lines[0].startswith("#") else 0
+                lines[first], lines[first + 1] = lines[first + 1], lines[first]
+            (other / name).write_text("\n".join(lines) + "\n")
+        out = tmp_path / "fused"
+        code = main(["fuse", "--probs", str(eval_dir / "probs.txt"), str(other / "probs.txt"),
+                     "--labels", str(other / "labels.txt"), "--out", str(out)])
+        assert code == 2
+        assert str(other / swapped) in capsys.readouterr().err
+        assert not (out / "fused.txt").exists()
+
 
 class TestSplitCommand:
     def test_membership_lists(self, data_dir, tmp_path):

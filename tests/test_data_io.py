@@ -207,3 +207,19 @@ class TestCheckpoint:
         path = tmp_path / "g.ckpt"
         save_checkpoint(ckpt, path)
         assert load_checkpoint(path).model == ckpt.model
+
+    def test_header_with_concat_axis_loads(self, tmp_path):
+        # Files written before concat_axis was removed carry it in the header.
+        import hashlib
+
+        ckpt = self._checkpoint()
+        blob = checkpoint_bytes(ckpt)[:-8]
+        magic, length, rest = blob.split(b"\n", 2)
+        header = rest[:int(length)].replace(b'"attention":{', b'"attention":{"concat_axis":"channel",')
+        assert header != rest[:int(length)]
+        body = b"%s\n%d\n%s%s" % (magic, len(header), header, rest[int(length):])
+        path = tmp_path / "h.ckpt"
+        path.write_bytes(body + hashlib.sha256(body).digest()[:8])
+        loaded = load_checkpoint(path)
+        assert loaded.model == ckpt.model
+        assert loaded.params["head.fc2.w"].data.tobytes() == ckpt.params["head.fc2.w"].data.tobytes()

@@ -30,7 +30,6 @@ from scenekit.tensor import (
     reshape,
     scale,
     softmax_last,
-    split,
     tensor_from_bytes,
     tensor_to_bytes,
     transpose,
@@ -177,10 +176,9 @@ class TestConcatSplit:
         rng = np.random.default_rng(3)
         a = rng.standard_normal((2, 3, 4))
         b = rng.standard_normal((2, 5, 4))
-        joined = concat([Tensor(a), Tensor(b)], axis=1)
-        left, right = split(joined, [3, 5], axis=1)
-        assert left.data.tobytes() == a.tobytes()
-        assert right.data.tobytes() == b.tobytes()
+        joined = concat([Tensor(a), Tensor(b)], axis=1).data
+        assert joined[:, :3].tobytes() == a.tobytes()
+        assert joined[:, 3:].tobytes() == b.tobytes()
 
     def test_off_axis_mismatch_rejected(self):
         with pytest.raises(ShapeError):
@@ -196,10 +194,10 @@ class TestConcatSplit:
         shape2[axis] = n2
         a = rng.standard_normal(shape1)
         b = rng.standard_normal(shape2)
-        joined = concat([Tensor(a), Tensor(b)], axis=axis)
-        pa, pb = split(joined, [n1, n2], axis=axis)
-        assert np.array_equal(pa.data, a)
-        assert np.array_equal(pb.data, b)
+        joined = concat([Tensor(a), Tensor(b)], axis=axis).data
+        pa, pb = np.split(joined, [n1], axis=axis)
+        assert np.array_equal(pa, a)
+        assert np.array_equal(pb, b)
 
 
 class TestBackward:
@@ -295,9 +293,6 @@ class TestGradientRulesAgainstFiniteDifferences:
 
     def test_concat(self):
         _op_gradcheck(lambda a, b: concat([a, b], axis=1), [(2, 3), (2, 4)], seed=20)
-
-    def test_split(self):
-        _op_gradcheck(lambda a: split(a, [2, 3], axis=1)[1], [(2, 5)], seed=21)
 
     def test_reshape_transpose(self):
         _op_gradcheck(lambda a: transpose(reshape(a, (2, 3, 2)), (1, 0, 2)),

@@ -196,18 +196,12 @@ class TestTrain:
         with pytest.raises(ValueError, match="classes"):
             train(ds, small_model(num_classes=7), small_train_cfg())
 
-    def test_batch_concat_layout_rejected_for_training(self):
-        from scenekit.attention import AttentionConfig
-        from scenekit.model import ModelConfig
-
-        ds = self._dataset()
-        base = small_model()
-        cfg = ModelConfig(backbone=base.backbone,
-                          attention=AttentionConfig(num_heads=2, key_dim=4,
-                                                    concat_axis="batch"),
-                          head=base.head, loss=base.loss, pool="attention")
-        with pytest.raises(ValueError, match="2B"):
-            train(ds, cfg, small_train_cfg())
+    def test_patience_needs_a_validation_split(self):
+        # Without validation rows val_acc is NaN and never improves, so
+        # patience would stop every run after patience + 1 epochs.
+        with pytest.raises(ValueError, match="patience"):
+            small_train_cfg(patience=3, val_fraction=0.0)
+        assert small_train_cfg(patience=3).patience == 3
 
 
 class TestEvaluate:
