@@ -13,7 +13,6 @@ from .augment import (
     LabeledBatch,
     MixupConfig,
     center_crop,
-    expand_rotations,
     mixup_expand,
     random_crop,
     random_erase,

@@ -1,9 +1,10 @@
-"""Data augmentation: rotation expansion, random crop, random erase, mixup.
+"""Data augmentation: rotation, random crop, random erase, mixup.
 
 Images are float64 arrays of shape [W, H, C] with values in [0, 1],
 axis order (width, height, channel); batches stack a leading axis.
-Rotation expansion runs once, off-line, over the whole dataset; the
-other three run on-line on each training batch with fresh randomness.
+Rotation expansion runs once, off-line, over the whole dataset
+(``Dataset.expand_rotations``, with the turns of ``rotate``); the other
+three run on-line on each training batch with fresh randomness.
 """
 
 from __future__ import annotations
@@ -64,20 +65,6 @@ def rotate(img: np.ndarray, angle: int) -> np.ndarray:
         # Clockwise quarter turn: out[H-1-y, x] = in[x, y] in (x, y) indexing.
         out = np.ascontiguousarray(out.transpose(1, 0, 2)[::-1])
     return out
-
-
-def expand_rotations(images: list[np.ndarray], labels: list[int]
-                     ) -> tuple[list[np.ndarray], list[int]]:
-    """Off-line expansion: each image plus its three rotations, same label."""
-    out_images: list[np.ndarray] = []
-    out_labels: list[int] = []
-    for img, label in zip(images, labels):
-        out_images.append(img)
-        out_labels.append(label)
-        for angle in ROTATION_ANGLES:
-            out_images.append(rotate(img, angle))
-            out_labels.append(label)
-    return out_images, out_labels
 
 
 def random_crop(batch: np.ndarray, reduction: int, rng: np.random.Generator) -> np.ndarray:

@@ -19,10 +19,11 @@ from .augment import LabeledBatch, MixupConfig, mixup_expand, random_crop, rando
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigBundle
 from .data import (
-    IMAGE_SUFFIXES,
     Dataset,
+    DatasetError,
     load_dataset,
     one_hot,
+    scan_tree,
     split,
     split_indices,
     write_ppm,
@@ -132,9 +133,11 @@ def _subset_for_eval(args) -> Dataset:
 
 
 def _example_ids(dataset: Dataset) -> list[str]:
-    ids = []
-    for name, lst in zip(dataset.class_names, dataset.images_by_class):
-        ids.extend(f"{name}/{i}" for i in range(len(lst)))
+    """``class/k`` for the k-th row of each class, one id per row."""
+    ids = [""] * len(dataset)
+    for name, rows in zip(dataset.class_names, dataset.class_rows()):
+        for i, row in enumerate(rows):
+            ids[row] = f"{name}/{i}"
     return ids
 
 
@@ -195,7 +198,7 @@ def cmd_fuse(args) -> int:
     fused = prod_fuse(fusion, normalized=args.normalized)
     out = _out_dir(args)
     fused_path = out / "fused.txt"
-    save_probability_matrix(fused, fused_path)
+    save_probability_matrix(fused, fused_path, ids=id_lists[0][1])
     outputs = [fused_path]
     settings = {"normalized": args.normalized, "models": names}
     if args.labels:
@@ -218,20 +221,17 @@ def cmd_fuse(args) -> int:
 
 def cmd_split(args) -> int:
     root = Path(args.data)
-    dataset_dirs = sorted(p for p in root.iterdir() if p.is_dir())
-    if not dataset_dirs:
-        print(f"error: {root} has no class directories", file=sys.stderr)
+    try:
+        classes = scan_tree(root)
+    except DatasetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    per_class_files = []
-    for d in dataset_dirs:
-        files = sorted(p for p in d.iterdir() if p.suffix.lower() in IMAGE_SUFFIXES)
-        per_class_files.append(files)
-    memberships = split_indices([len(f) for f in per_class_files],
+    memberships = split_indices([len(files) for _, files in classes],
                                 args.train_fraction, args.seed)
     out = _out_dir(args)
     train_path, test_path = out / "train.txt", out / "test.txt"
     with open(train_path, "w") as trf, open(test_path, "w") as tef:
-        for files, (tr_idx, te_idx) in zip(per_class_files, memberships):
+        for (_, files), (tr_idx, te_idx) in zip(classes, memberships):
             for i in tr_idx:
                 trf.write(str(files[i].relative_to(root)) + "\n")
             for i in te_idx:

@@ -1,8 +1,9 @@
 """Dataset ingestion, deterministic splits, and the PPM image codec.
 
-A dataset directory holds one subdirectory per class; class indices are
-assigned by lexicographic class-name order, and files are read in
-lexicographic order, so the layout alone fixes every index. Binary PPM
+A dataset is one read-only image array and one label array. A dataset
+directory holds one subdirectory per class; ``scan_tree`` assigns class
+indices by lexicographic class-name order and lists files in
+lexicographic order, so the layout alone fixes every row. Binary PPM
 (P6) is the native codec; PNG works when Pillow is importable.
 """
 
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import ROTATION_ANGLES, rotate
+from .augment import ROTATION_ANGLES
 
 
 class DatasetError(RuntimeError):
@@ -98,45 +99,55 @@ def write_ppm(img: np.ndarray, path: Path) -> None:
 
 # --- dataset container ------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    """Class names plus per-class image lists; indices follow name order."""
+    """Images [N, W, H, C] and labels [N] (label k is ``class_names[k]``), held as
+    read-only views: callers share them without copies, and the caller's own
+    arrays stay writeable."""
 
     class_names: tuple[str, ...]
-    images_by_class: list[list[np.ndarray]] = field(repr=False)
+    images: np.ndarray = field(repr=False)
+    labels: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if len(self.class_names) != len(self.images_by_class):
-            raise DatasetError("class name and image list counts differ")
+        self.images = np.asarray(self.images, dtype=np.float64).view()
+        self.labels = np.asarray(self.labels, dtype=np.int64).view()
+        if self.images.ndim != 4:
+            raise DatasetError(f"images must be [N, W, H, C], got {self.images.shape}")
+        if self.labels.shape != self.images.shape[:1]:
+            raise DatasetError(f"{self.labels.shape} labels for {len(self.images)} images")
+        if np.any((self.labels < 0) | (self.labels >= self.num_classes)):
+            raise DatasetError(f"labels outside range({self.num_classes})")
+        self.images.flags.writeable = False
+        self.labels.flags.writeable = False
 
     @property
     def num_classes(self) -> int:
         return len(self.class_names)
 
     def __len__(self) -> int:
-        return sum(len(lst) for lst in self.images_by_class)
+        return len(self.labels)
 
     def class_counts(self) -> list[int]:
-        return [len(lst) for lst in self.images_by_class]
+        return np.bincount(self.labels, minlength=self.num_classes).tolist()
+
+    def class_rows(self) -> list[np.ndarray]:
+        """Row indices of each class, in row order."""
+        return [np.flatnonzero(self.labels == c) for c in range(self.num_classes)]
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stack into ([N, W, H, C] images, [N] integer labels)."""
-        images, labels = [], []
-        for idx, lst in enumerate(self.images_by_class):
-            images.extend(lst)
-            labels.extend([idx] * len(lst))
-        return np.stack(images), np.array(labels, dtype=np.int64)
+        """The stored (images, labels) arrays themselves; both read-only."""
+        return self.images, self.labels
 
     def expand_rotations(self) -> "Dataset":
-        """Off-line rotation expansion: every class count exactly quadruples."""
-        expanded = []
-        for lst in self.images_by_class:
-            out: list[np.ndarray] = []
-            for img in lst:
-                out.append(img)
-                out.extend(rotate(img, angle) for angle in ROTATION_ANGLES)
-            expanded.append(out)
-        return Dataset(self.class_names, expanded)
+        """Each image followed by its 90, 180 and 270 degree ``rotate`` turns."""
+        _, w, h, _ = self.images.shape
+        if w != h:
+            raise DatasetError(f"rotation expansion needs square images, got {w}x{h}")
+        turns = [self.images] + [np.rot90(self.images, angle // 90, axes=(1, 2))
+                                 for angle in ROTATION_ANGLES]
+        images = np.stack(turns, axis=1).reshape(-1, *self.images.shape[1:])
+        return Dataset(self.class_names, images, np.repeat(self.labels, len(turns)))
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -148,32 +159,39 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 IMAGE_SUFFIXES = (".ppm", ".png")
 
 
-def load_dataset(root: Path) -> Dataset:
-    """Ingest a class-per-directory tree with deterministic ordering."""
+def scan_tree(root: Path) -> list[tuple[str, list[Path]]]:
+    """(class name, sorted image files) for each class directory, in name order."""
     root = Path(root)
     if not root.is_dir():
         raise DatasetError(f"{root}: not a directory")
     class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if not class_dirs:
         raise DatasetError(f"{root}: contains no class directories")
-    images_by_class = []
-    shape: tuple[int, ...] | None = None
+    classes = []
     for class_dir in class_dirs:
         files = sorted(p for p in class_dir.iterdir()
                        if p.suffix.lower() in IMAGE_SUFFIXES)
         if not files:
             raise DatasetError(f"{class_dir}: class directory has no images")
-        imgs = []
-        for f in files:
-            img = read_image(f)
-            if shape is None:
-                shape = img.shape
-            elif img.shape != shape:
-                raise DatasetError(
-                    f"{f}: image shape {img.shape} differs from dataset shape {shape}")
-            imgs.append(img)
-        images_by_class.append(imgs)
-    return Dataset(tuple(d.name for d in class_dirs), images_by_class)
+        classes.append((class_dir.name, files))
+    return classes
+
+
+def load_dataset(root: Path) -> Dataset:
+    """Ingest a class-per-directory tree with deterministic ordering."""
+    classes = scan_tree(root)
+    files = [f for _, class_files in classes for f in class_files]
+    images = None
+    for i, f in enumerate(files):
+        img = read_image(f)
+        if images is None:
+            images = np.empty((len(files), *img.shape))
+        elif img.shape != images.shape[1:]:
+            raise DatasetError(
+                f"{f}: image shape {img.shape} differs from dataset shape {images.shape[1:]}")
+        images[i] = img
+    labels = np.repeat(np.arange(len(classes)), [len(fs) for _, fs in classes])
+    return Dataset(tuple(name for name, _ in classes), images, labels)
 
 
 def split_indices(class_counts: list[int], train_fraction: float, seed: int
@@ -198,20 +216,19 @@ def split_indices(class_counts: list[int], train_fraction: float, seed: int
 def split(dataset: Dataset, train_fraction: float, seed: int
           ) -> tuple[Dataset, Dataset]:
     """Stratified train/test split of a dataset; disjoint and exhaustive."""
-    memberships = split_indices(dataset.class_counts(), train_fraction, seed)
-    train_lists, test_lists = [], []
-    for lst, (train_idx, test_idx) in zip(dataset.images_by_class, memberships):
-        train_lists.append([lst[i] for i in train_idx])
-        test_lists.append([lst[i] for i in test_idx])
-    return (Dataset(dataset.class_names, train_lists),
-            Dataset(dataset.class_names, test_lists))
+    rows = dataset.class_rows()
+    memberships = split_indices([len(r) for r in rows], train_fraction, seed)
+    train, test = (np.concatenate([r[m[side]] for r, m in zip(rows, memberships)])
+                   for side in (0, 1))
+    return (Dataset(dataset.class_names, dataset.images[train], dataset.labels[train]),
+            Dataset(dataset.class_names, dataset.images[test], dataset.labels[test]))
 
 
 def write_dataset_tree(dataset: Dataset, root: Path) -> None:
     """Write the dataset as a PPM tree loadable by load_dataset."""
     root = Path(root)
-    for name, lst in zip(dataset.class_names, dataset.images_by_class):
+    for name, rows in zip(dataset.class_names, dataset.class_rows()):
         class_dir = root / name
         class_dir.mkdir(parents=True, exist_ok=True)
-        for i, img in enumerate(lst):
-            write_ppm(img, class_dir / f"{i:05d}.ppm")
+        for i, row in enumerate(rows):
+            write_ppm(dataset.images[row], class_dir / f"{i:05d}.ppm")

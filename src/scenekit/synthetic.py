@@ -31,16 +31,11 @@ class TextureSpec:
     level: float = 0.5        # base gray level for plain patches
 
 
-def _coords(size: int) -> tuple[np.ndarray, np.ndarray]:
-    x = np.arange(size, dtype=np.float64)[:, None]
-    y = np.arange(size, dtype=np.float64)[None, :]
-    return x, y
-
-
 def render_texture(spec: TextureSpec, size: int, rng: np.random.Generator,
                    noise: float = 0.05, jitter: float = 0.1) -> np.ndarray:
     """One [size, size, 3] texture sample in [0, 1]."""
-    x, y = _coords(size)
+    x = np.arange(size, dtype=np.float64)[:, None]
+    y = x.T
     if spec.kind == "stripes":
         angle = rng.uniform(0.0, 180.0) if spec.angle_random else spec.angle_deg
         theta = np.deg2rad(angle)
@@ -82,13 +77,11 @@ def make_texture_dataset(specs: dict[str, TextureSpec], per_class: int,
     """Seeded dataset with ``per_class`` samples of each texture class."""
     rng = np.random.default_rng(seed)
     names = tuple(sorted(specs))
-    images_by_class = []
-    for name in names:
-        images_by_class.append([
-            render_texture(specs[name], size, rng, noise=noise, jitter=jitter)
-            for _ in range(per_class)
-        ])
-    return Dataset(names, images_by_class)
+    labels = np.repeat(np.arange(len(names)), per_class)
+    images = np.empty((len(labels), size, size, 3))
+    for i, label in enumerate(labels):
+        images[i] = render_texture(specs[names[label]], size, rng, noise=noise, jitter=jitter)
+    return Dataset(names, images, labels)
 
 
 # Catalog used by the CPU-scale training demo: four well-separated,
@@ -130,9 +123,7 @@ def four_class_dataset(per_class: int = 24, size: int = 16, seed: int = 7,
 def constant_class_dataset(num_classes: int, per_class: int, size: int = 4) -> Dataset:
     """Minimal dataset (one flat gray level per class) for protocol tests."""
     names = tuple(f"class{i:03d}" for i in range(num_classes))
-    images_by_class = []
-    for i in range(num_classes):
-        level = (i + 1) / (num_classes + 1)
-        img = np.full((size, size, 3), level)
-        images_by_class.append([img.copy() for _ in range(per_class)])
-    return Dataset(names, images_by_class)
+    labels = np.repeat(np.arange(num_classes), per_class)
+    levels = (labels + 1) / (num_classes + 1)
+    return Dataset(names, np.ones((len(labels), size, size, 3)) * levels[:, None, None, None],
+                   labels)

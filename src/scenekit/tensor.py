@@ -279,12 +279,13 @@ def concat(xs: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """A view of ``x`` when its data is contiguous; no op writes its output."""
     old = x.shape
 
     def vjp(g: np.ndarray):
         return (g.reshape(old),)
 
-    return from_op("reshape", (x,), x.data.reshape(shape).copy(), vjp)
+    return from_op("reshape", (x,), x.data.reshape(shape), vjp)
 
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:

@@ -11,13 +11,12 @@ from scenekit.augment import (
     _mix_group,
     center_crop,
     erase_batch,
-    expand_rotations,
     mixup_expand,
     random_crop,
     random_erase,
     rotate,
 )
-from scenekit.data import Dataset, one_hot
+from scenekit.data import Dataset, DatasetError, one_hot
 
 
 def visual(rows):
@@ -75,32 +74,30 @@ class TestRotate:
 class TestExpandRotations:
     def test_dataset_quadruples_per_class(self):
         rng = np.random.default_rng(6)
-        ds = Dataset(("a", "b"), [[rand_image(rng, 4, 4) for _ in range(700)],
-                                  [rand_image(rng, 4, 4) for _ in range(700)]])
+        images = np.stack([rand_image(rng, 4, 4) for _ in range(1400)])
+        ds = Dataset(("a", "b"), images, np.repeat([0, 1], 700))
         out = ds.expand_rotations()
         assert out.class_counts() == [2800, 2800]
 
-    def test_label_histogram_scales_by_four(self):
+    def test_each_original_followed_by_its_turns(self):
         rng = np.random.default_rng(7)
-        images = [rand_image(rng, 4, 4) for _ in range(5)]
-        labels = [0, 1, 1, 2, 0]
-        out_images, out_labels = expand_rotations(images, labels)
-        assert len(out_images) == 20
-        for cls in (0, 1, 2):
-            assert out_labels.count(cls) == 4 * labels.count(cls)
+        labels = np.array([0, 1, 1, 2, 0])
+        ds = Dataset(("a", "b", "c"), rng.random((5, 4, 4, 3)), labels)
+        images, out_labels = ds.expand_rotations().to_arrays()
+        assert images.shape == (20, 4, 4, 3)
+        for i, img in enumerate(ds.images):
+            assert np.array_equal(images[4 * i], img)
+            for k, angle in enumerate((90, 180, 270), start=1):
+                assert np.array_equal(images[4 * i + k], rotate(img, angle))
+            assert list(out_labels[4 * i:4 * i + 4]) == [labels[i]] * 4
+        assert ds.expand_rotations().class_counts() == [4 * n for n in ds.class_counts()]
+        empty = Dataset(("a",), np.zeros((0, 4, 4, 3)), np.zeros(0, dtype=np.int64))
+        assert len(empty.expand_rotations()) == 0
 
-    def test_empty_dataset(self):
-        assert expand_rotations([], []) == ([], [])
-
-    def test_rotations_carry_original_label(self):
-        rng = np.random.default_rng(8)
-        img = rand_image(rng, 4, 4)
-        out_images, out_labels = expand_rotations([img], [3])
-        assert out_labels == [3, 3, 3, 3]
-        assert np.array_equal(out_images[0], img)
-        assert np.array_equal(out_images[1], rotate(img, 90))
-        assert np.array_equal(out_images[2], rotate(img, 180))
-        assert np.array_equal(out_images[3], rotate(img, 270))
+    def test_non_square_images_rejected(self):
+        ds = Dataset(("a",), np.zeros((2, 4, 6, 3)), np.zeros(2, dtype=np.int64))
+        with pytest.raises(DatasetError, match="square"):
+            ds.expand_rotations()
 
 
 class TestRandomCrop:

@@ -126,6 +126,22 @@ class TestFuseCommand:
         single, _ = load_probability_matrix(eval_dir / "probs.txt")
         assert np.array_equal(fused.argmax(axis=1), single.argmax(axis=1))
 
+    def test_fused_rows_keep_example_ids(self, data_dir, trained_dir, tmp_path):
+        eval_dir = tmp_path / "e1"
+        main(["eval", "--data", str(data_dir),
+              "--from", str(trained_dir / "checkpoint.ckpt"), "--out", str(eval_dir)])
+        out = tmp_path / "fused"
+        # Normalized, so that the fused matrix is itself a valid fuse input.
+        assert main(["fuse", "--probs", str(eval_dir / "probs.txt"),
+                     str(eval_dir / "probs.txt"), "--normalized", "--out", str(out)]) == 0
+        _, fused_ids = load_probability_matrix(out / "fused.txt")
+        _, eval_ids = load_probability_matrix(eval_dir / "probs.txt")
+        assert fused_ids == eval_ids
+        code = main(["fuse", "--probs", str(out / "fused.txt"), str(eval_dir / "probs.txt"),
+                     "--labels", str(eval_dir / "labels.txt"),
+                     "--out", str(tmp_path / "refused")])
+        assert code == 0
+
     @pytest.mark.parametrize("swapped", ["probs.txt", "labels.txt"])
     def test_rows_in_another_order_rejected(self, data_dir, trained_dir, tmp_path,
                                             capsys, swapped):
@@ -159,6 +175,15 @@ class TestSplitCommand:
         assert len(train_lines) == 4  # 1 of 4 per class
         assert len(test_lines) == 12
         assert not set(train_lines) & set(test_lines)
+
+    def test_empty_class_directory_rejected(self, data_dir, tmp_path, capsys):
+        root = tmp_path / "tree"
+        write_dataset_tree(four_class_dataset(per_class=2, size=4, seed=2), root)
+        (root / "empty").mkdir()
+        code = main(["split", "--data", str(root), "--train-fraction", "0.5",
+                     "--out", str(tmp_path / "split")])
+        assert code == 2
+        assert "no images" in capsys.readouterr().err
 
     def test_same_seed_same_membership(self, data_dir, tmp_path):
         outs = []

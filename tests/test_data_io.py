@@ -63,6 +63,30 @@ class TestPpmCodec:
         assert abs(img[1, 1, 2] - 11 / 255) < 1e-15
 
 
+class TestDataset:
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(DatasetError, match="labels"):
+            Dataset(("a",), np.zeros((3, 2, 2, 3)), np.zeros(2, dtype=np.int64))
+
+    def test_labels_out_of_range_rejected(self):
+        for bad in (2, -1):
+            with pytest.raises(DatasetError, match="range"):
+                Dataset(("a", "b"), np.zeros((2, 2, 2, 3)), np.array([0, bad]))
+
+    def test_images_must_be_rank_four(self):
+        with pytest.raises(DatasetError, match=r"\[N, W, H, C\]"):
+            Dataset(("a",), np.zeros((2, 2, 3)), np.zeros(2, dtype=np.int64))
+
+    def test_arrays_are_read_only_and_shared(self):
+        ds = four_class_dataset(per_class=2, size=4)
+        images, labels = ds.to_arrays()
+        assert images is ds.images and labels is ds.labels
+        with pytest.raises(ValueError):
+            ds.images[0, 0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ds.labels[0] = 1
+
+
 class TestLoadDataset:
     def _write_tree(self, root, classes=("forest", "lake"), counts=(3, 4), size=6):
         rng = np.random.default_rng(1)

@@ -66,6 +66,10 @@ class TestTensorBasics:
     def test_float64_everywhere(self):
         assert Tensor(np.float32(1.5)).data.dtype == np.float64
 
+    def test_reshape_of_contiguous_data_is_a_view(self):
+        x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+        assert np.shares_memory(reshape(x, (2, 6)).data, x.data)
+
 
 class TestMatmul:
     def test_identity(self):

@@ -154,6 +154,7 @@ class TestTrain:
         with pytest.raises(ValueError, match="smaller than one batch"):
             train(ds, small_model(), small_train_cfg(batch_size=32))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # lr 1e10 overflows on purpose
     def test_divergence_aborts_with_diagnostic(self):
         ds = self._dataset()
         cfg = small_model()
