@@ -79,6 +79,31 @@ class TestExpandRotations:
         out = ds.expand_rotations()
         assert out.class_counts() == [2800, 2800]
 
+    def test_label_histogram_scales_by_four(self):
+        rng = np.random.default_rng(7)
+        labels = np.array([0, 1, 1, 2, 0])
+        ds = Dataset(("a", "b", "c"), rng.random((5, 4, 4, 3)), labels)
+        out = ds.expand_rotations()
+        assert len(out) == 20
+        assert out.class_counts() == [4 * n for n in ds.class_counts()]
+
+    def test_empty_dataset(self):
+        empty = Dataset(("a",), np.zeros((0, 4, 4, 3)), np.zeros(0, dtype=np.int64))
+        images, labels = empty.expand_rotations().to_arrays()
+        assert images.shape == (0, 4, 4, 3)
+        assert len(labels) == 0
+
+    def test_rotations_carry_original_label(self):
+        rng = np.random.default_rng(8)
+        img = rand_image(rng, 4, 4)
+        ds = Dataset(("a", "b", "c", "d"), img[None], np.array([3]))
+        out_images, out_labels = ds.expand_rotations().to_arrays()
+        assert list(out_labels) == [3, 3, 3, 3]
+        assert np.array_equal(out_images[0], img)
+        assert np.array_equal(out_images[1], rotate(img, 90))
+        assert np.array_equal(out_images[2], rotate(img, 180))
+        assert np.array_equal(out_images[3], rotate(img, 270))
+
     def test_each_original_followed_by_its_turns(self):
         rng = np.random.default_rng(7)
         labels = np.array([0, 1, 1, 2, 0])
@@ -90,9 +115,6 @@ class TestExpandRotations:
             for k, angle in enumerate((90, 180, 270), start=1):
                 assert np.array_equal(images[4 * i + k], rotate(img, angle))
             assert list(out_labels[4 * i:4 * i + 4]) == [labels[i]] * 4
-        assert ds.expand_rotations().class_counts() == [4 * n for n in ds.class_counts()]
-        empty = Dataset(("a",), np.zeros((0, 4, 4, 3)), np.zeros(0, dtype=np.int64))
-        assert len(empty.expand_rotations()) == 0
 
     def test_non_square_images_rejected(self):
         ds = Dataset(("a",), np.zeros((2, 4, 6, 3)), np.zeros(2, dtype=np.int64))
