@@ -21,10 +21,10 @@ from .augment import (
 from .backbone import BackboneConfig, ConvStage, backbone_forward, conv2d
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .data import Dataset, DatasetError, decode_ppm, encode_ppm, load_dataset, one_hot, split
-from .fusion import FusionInput, accuracy, mean_fuse, predict_label, prod_fuse
+from .fusion import FusionInput, accuracy, predict_label, prod_fuse
 from .gradcheck import finite_difference_check
 from .head import HeadConfig, LossConfig, kl_loss, mlp_forward
-from .model import ModelConfig, desk_model_config, init_params, model_features, model_forward
+from .model import ModelConfig, desk_model_config, init_params, model_forward
 from .params import ModelParams
 from .synthetic import TextureSpec, four_class_dataset, make_texture_dataset
 from .tensor import (

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .files import write_atomic
 from .model import ModelConfig
 from .params import ModelParams
 from .tensor import tensor_from_bytes, tensor_to_bytes
@@ -20,6 +22,7 @@ from .tensor import tensor_from_bytes, tensor_to_bytes
 MAGIC = b"scenekit-checkpoint"
 FORMAT_VERSION = 1
 DIGEST_BYTES = 8
+PREAMBLE = re.compile(re.escape(MAGIC) + rb" (\d+)\n(\d+)\n")  # version, header length
 
 
 class CheckpointError(RuntimeError):
@@ -41,62 +44,50 @@ def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
         "tensors": ckpt.params.names(),
     }
     header_json = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    body = MAGIC + b" %d\n" % ckpt.version
-    body += b"%d\n" % len(header_json)
-    body += header_json
-    for _, t in ckpt.params.items():
-        body += tensor_to_bytes(t.data)
-    return body + hashlib.sha256(body).digest()[:DIGEST_BYTES]
+    parts = [MAGIC + b" %d\n" % ckpt.version, b"%d\n" % len(header_json), header_json]
+    parts += [tensor_to_bytes(t.data) for _, t in ckpt.params.items()]
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return b"".join([*parts, digest.digest()[:DIGEST_BYTES]])
 
 
 def save_checkpoint(ckpt: Checkpoint, path: Path) -> None:
-    Path(path).write_bytes(checkpoint_bytes(ckpt))
+    write_atomic(path, checkpoint_bytes(ckpt))
 
 
 def load_checkpoint(path: Path) -> Checkpoint:
     raw = Path(path).read_bytes()
-    if len(raw) < DIGEST_BYTES:
+    end = len(raw) - DIGEST_BYTES  # the body is raw[:end]; it is never copied
+    if end < 0:
         raise CheckpointError(f"{path}: file too short to be a checkpoint")
-    body, digest = raw[:-DIGEST_BYTES], raw[-DIGEST_BYTES:]
-    if hashlib.sha256(body).digest()[:DIGEST_BYTES] != digest:
+    body = memoryview(raw)[:end]
+    if hashlib.sha256(body).digest()[:DIGEST_BYTES] != raw[end:]:
         raise CheckpointError(f"{path}: digest mismatch, file corrupt or tampered")
-    newline = body.find(b"\n")
-    if newline < 0 or not body[:newline].startswith(MAGIC + b" "):
-        raise CheckpointError(f"{path}: missing checkpoint magic")
-    try:
-        version = int(body[len(MAGIC) + 1:newline])
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: unreadable format version") from exc
+    preamble = PREAMBLE.match(raw, 0, end)
+    if preamble is None:
+        raise CheckpointError(f"{path}: no checkpoint magic, format version and header length")
+    version, header_len = int(preamble[1]), int(preamble[2])
     if version != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: format version {version}, this build reads {FORMAT_VERSION}")
-    pos = newline + 1
-    newline = body.find(b"\n", pos)
-    if newline < 0:
-        raise CheckpointError(f"{path}: truncated before header")
-    try:
-        header_len = int(body[pos:newline])
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: unreadable header length") from exc
-    pos = newline + 1
-    if len(body) < pos + header_len:
+    pos = preamble.end() + header_len
+    if end < pos:
         raise CheckpointError(f"{path}: truncated inside header")
     try:
-        header = json.loads(body[pos:pos + header_len])
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"{path}: header is not valid JSON") from exc
-    pos += header_len
+        header = json.loads(raw[preamble.end():pos])
+        names, metadata = list(header["tensors"]), header["metadata"]
+        model = ModelConfig.from_dict(header["model"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from exc
 
     params = ModelParams()
-    for name in header["tensors"]:
+    for name in names:
         try:
             data, pos = tensor_from_bytes(body, pos)
         except ValueError as exc:
             raise CheckpointError(f"{path}: tensor {name!r}: {exc}") from exc
         params.add(name, data)
-    if pos != len(body):
-        raise CheckpointError(f"{path}: {len(body) - pos} unexpected trailing bytes")
-    return Checkpoint(model=ModelConfig.from_dict(header["model"]),
-                      params=params,
-                      metadata=header["metadata"],
-                      version=version)
+    if pos != end:
+        raise CheckpointError(f"{path}: {end - pos} unexpected trailing bytes")
+    return Checkpoint(model=model, params=params, metadata=metadata, version=version)

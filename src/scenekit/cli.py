@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .augment import LabeledBatch, MixupConfig, mixup_expand, random_crop, random_erase, rotate
-from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ConfigBundle
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .config import ConfigBundle, ConfigError
 from .data import (
     Dataset,
     DatasetError,
@@ -28,6 +28,7 @@ from .data import (
     split_indices,
     write_ppm,
 )
+from .files import TableError, read_table, write_atomic
 from .fusion import (
     FusionInput,
     accuracy,
@@ -40,13 +41,9 @@ from .fusion import (
 from .gradcheck import finite_difference_check
 from .head import kl_loss
 from .model import gradcheck_model_config, init_params, model_forward
-from .plot import write_history_svg
+from .plot import history_svg
 from .tensor import Tensor
 from .trainer import evaluate, load_history, save_history, train
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def write_manifest(out_dir: Path, command: str, settings: dict,
@@ -55,10 +52,10 @@ def write_manifest(out_dir: Path, command: str, settings: dict,
         "command": command,
         "settings": settings,
         "inputs": {k: str(v) for k, v in inputs.items()},
-        "outputs": {p.name: _sha256(p) for p in outputs},
+        "outputs": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs},
     }
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -100,9 +97,7 @@ def cmd_train(args) -> int:
     source = None
     if train_cfg.strategy == "transfer":
         if args.source is None:
-            print("error: --from CHECKPOINT is required for the transfer strategy",
-                  file=sys.stderr)
-            return 2
+            raise ConfigError("--from CHECKPOINT is required for the transfer strategy")
         source = load_checkpoint(args.source)
     out = _out_dir(args)
     ckpt, history = train(dataset, model_cfg, train_cfg, source=source,
@@ -156,8 +151,7 @@ def cmd_eval(args) -> int:
     probs_path = out / "probs.txt"
     labels_path = out / "labels.txt"
     save_probability_matrix(probs, probs_path, ids=ids)
-    labels_path.write_text(
-        "\n".join(f"{i} {l}" for i, l in zip(ids, labels)) + "\n")
+    write_atomic(labels_path, "\n".join(f"{i} {l}" for i, l in zip(ids, labels)) + "\n")
     write_manifest(out, "eval",
                    {"crop_reduction": crop, "subset": args.subset,
                     "train_fraction": args.train_fraction, "split_seed": args.split_seed,
@@ -168,15 +162,8 @@ def cmd_eval(args) -> int:
 
 
 def _load_labels_file(path: Path) -> tuple[list[str], np.ndarray]:
-    ids, labels = [], []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        ex_id, label = line.split()
-        ids.append(ex_id)
-        labels.append(int(label))
-    return ids, np.array(labels, dtype=np.int64)
+    rows = read_table(path, (str, int))
+    return [row[0] for row in rows], np.array([row[1] for row in rows], dtype=np.int64)
 
 
 def cmd_fuse(args) -> int:
@@ -191,9 +178,8 @@ def cmd_fuse(args) -> int:
         id_lists.append((args.labels, ids))
     for path, ids in id_lists[1:]:
         if ids != id_lists[0][1]:
-            print(f"error: example ids in {path} differ from those in {args.probs[0]}; "
-                  f"rows must refer to the same examples in the same order", file=sys.stderr)
-            return 2
+            raise TableError(f"example ids in {path} differ from those in {args.probs[0]}; "
+                             f"rows must refer to the same examples in the same order")
     fusion = FusionInput(matrices, model_ids=names)
     fused = prod_fuse(fusion, normalized=args.normalized)
     out = _out_dir(args)
@@ -210,7 +196,7 @@ def cmd_fuse(args) -> int:
                         "acc": accuracy(predict_label(fused), labels)})
         report = format_fusion_report(columns)
         report_path = out / "report.txt"
-        report_path.write_text(report)
+        write_atomic(report_path, report)
         outputs.append(report_path)
         print(report, end="")
         settings["fused_accuracy"] = columns[-1]["acc"]
@@ -221,21 +207,15 @@ def cmd_fuse(args) -> int:
 
 def cmd_split(args) -> int:
     root = Path(args.data)
-    try:
-        classes = scan_tree(root)
-    except DatasetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    classes = scan_tree(root)
     memberships = split_indices([len(files) for _, files in classes],
                                 args.train_fraction, args.seed)
     out = _out_dir(args)
     train_path, test_path = out / "train.txt", out / "test.txt"
-    with open(train_path, "w") as trf, open(test_path, "w") as tef:
-        for (_, files), (tr_idx, te_idx) in zip(classes, memberships):
-            for i in tr_idx:
-                trf.write(str(files[i].relative_to(root)) + "\n")
-            for i in te_idx:
-                tef.write(str(files[i].relative_to(root)) + "\n")
+    for path, side in ((train_path, 0), (test_path, 1)):
+        write_atomic(path, "".join(f"{files[i].relative_to(root)}\n"
+                                   for (_, files), rows in zip(classes, memberships)
+                                   for i in rows[side]))
     write_manifest(out, "split",
                    {"train_fraction": args.train_fraction, "seed": args.seed},
                    {"data": args.data}, [train_path, test_path])
@@ -310,7 +290,7 @@ def cmd_plot(args) -> int:
     history = load_history(args.history)
     out = _out_dir(args)
     svg_path = out / "curves.svg"
-    write_history_svg(history, svg_path)
+    write_atomic(svg_path, history_svg(history))
     write_manifest(out, "plot", {}, {"history": args.history}, [svg_path])
     print(f"wrote {svg_path}")
     return 0
@@ -406,8 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; bad input ends it with one ``error:`` line on stderr, exit 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (CheckpointError, ConfigError, DatasetError, TableError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

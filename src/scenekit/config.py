@@ -91,8 +91,10 @@ KNOWN_KEYS = {section: _section_fields(section) for section in SECTIONS}
 
 def read_config_file(path: Path) -> dict[str, dict[str, str]]:
     parser = configparser.ConfigParser()
-    text = Path(path).read_text()
-    parser.read_string(text, source=str(path))
+    try:
+        parser.read_string(Path(path).read_text(), source=str(path))
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from exc
     out: dict[str, dict[str, str]] = {}
     for section in parser.sections():
         if section not in KNOWN_KEYS:
@@ -132,11 +134,12 @@ class ConfigBundle:
                 continue
             try:
                 kwargs[name] = _parser(tp)(raw)
-            except ConfigError:
-                raise
             except ValueError as exc:
-                raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
-        return SECTIONS[section](**kwargs, **fixed)
+                raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
+        try:
+            return SECTIONS[section](**kwargs, **fixed)
+        except ValueError as exc:  # the config type's own checks
+            raise ConfigError(f"[{section}] {exc}") from exc
 
     def model_config(self, num_classes: int | None = None) -> ModelConfig:
         head = ({} if num_classes is None else {"num_classes": num_classes})

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .augment import ROTATION_ANGLES
+from .files import write_atomic
 
 
 class DatasetError(RuntimeError):
@@ -94,7 +95,7 @@ def read_image(path: Path) -> np.ndarray:
 
 
 def write_ppm(img: np.ndarray, path: Path) -> None:
-    Path(path).write_bytes(encode_ppm(img))
+    write_atomic(path, encode_ppm(img))
 
 
 # --- dataset container ------------------------------------------------------

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .files import TableError, read_table, write_atomic
+
 UNDERFLOW_FLOOR = 1e-30
 
 
@@ -61,11 +63,6 @@ def prod_fuse(inputs: FusionInput, normalized: bool = False) -> np.ndarray:
     return fused
 
 
-def mean_fuse(inputs: FusionInput) -> np.ndarray:
-    """Arithmetic-mean baseline for comparison with the product rule."""
-    return np.stack(inputs.probabilities).mean(axis=0)
-
-
 def predict_label(scores: np.ndarray) -> np.ndarray:
     """Row argmax; ties resolve to the lowest class index."""
     scores = np.asarray(scores)
@@ -87,8 +84,8 @@ def accuracy(predicted: np.ndarray, true_labels: np.ndarray) -> float:
 
 # --- probability matrix files ----------------------------------------------
 #
-# Line format: example id, then C probabilities, whitespace separated.
-# Lines starting with '#' are comments.
+# A table (see files.py) with one row per example: the example id, then
+# C probabilities.
 
 def save_probability_matrix(probs: np.ndarray, path: Path,
                             ids: list[str] | None = None) -> None:
@@ -97,21 +94,14 @@ def save_probability_matrix(probs: np.ndarray, path: Path,
     lines = [f"# columns: id then {probs.shape[1]} class probabilities"]
     for ex_id, row in zip(ids, probs):
         lines.append(ex_id + " " + " ".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_probability_matrix(path: Path) -> tuple[np.ndarray, list[str]]:
-    ids, rows = [], []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        ids.append(parts[0])
-        rows.append([float(v) for v in parts[1:]])
+    rows = read_table(path, (str,), float)
     if not rows:
-        raise ValueError(f"{path}: no probability rows found")
-    return np.array(rows), ids
+        raise TableError(f"{path}: no probability rows found")
+    return np.array([values for _, values in rows]), [ex_id for ex_id, _ in rows]
 
 
 def format_fusion_report(columns: list[dict]) -> str:

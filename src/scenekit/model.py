@@ -122,17 +122,13 @@ def init_params(cfg: ModelConfig, strategy: str,
     return params
 
 
-def model_features(images: Tensor, params: ModelParams, cfg: ModelConfig) -> Tensor:
-    """Feature rows [B, F] after the configured pooling stage."""
-    fmap = backbone_forward(images, params, cfg.backbone)
-    if cfg.pool == "attention":
-        return attention_pool(fmap, cfg.attention, params)
-    return global_pool(fmap, "average" if cfg.pool == "avg" else "max")
-
-
 def model_forward(images: Tensor, params: ModelParams, cfg: ModelConfig,
                   training: bool = False,
                   rng: np.random.Generator | None = None) -> Tensor:
     """Full forward pass: images [B, W, H, C_in] to probabilities [B, C]."""
-    feats = model_features(images, params, cfg)
+    fmap = backbone_forward(images, params, cfg.backbone)
+    if cfg.pool == "attention":
+        feats = attention_pool(fmap, cfg.attention, params)
+    else:
+        feats = global_pool(fmap, "average" if cfg.pool == "avg" else "max")
     return mlp_forward(feats, params, cfg.head, training=training, rng=rng)

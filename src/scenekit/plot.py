@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from .trainer import TrainHistory
 
 _PANEL_W, _PANEL_H = 560, 200
@@ -61,7 +59,3 @@ def history_svg(history: TrainHistory) -> str:
                     {"train": "#2980b9", "val": "#27ae60"})
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def write_history_svg(history: TrainHistory, path: Path) -> None:
-    Path(path).write_text(history_svg(history))

@@ -19,6 +19,7 @@ from .augment import LabeledBatch, MixupConfig, center_crop, erase_batch, mixup_
 from .checkpoint import Checkpoint
 from .configdict import ConfigDict
 from .data import Dataset, one_hot
+from .files import read_table, write_atomic
 from .head import kl_loss
 from .model import ModelConfig, init_params, model_forward
 from .params import ModelParams
@@ -95,9 +96,6 @@ class TrainHistory:
         return None
 
 
-HISTORY_HEADER = "# epoch loss train_acc val_acc seconds"
-
-
 def save_history(history: TrainHistory, path: Path, log_timing: bool = False) -> None:
     """Write the line-delimited history table.
 
@@ -105,23 +103,16 @@ def save_history(history: TrainHistory, path: Path, log_timing: bool = False) ->
     files must be byte-reproducible for identical (config, seed) runs,
     and wall-clock time is not.
     """
-    lines = [HISTORY_HEADER]
+    lines = ["# epoch loss train_acc val_acc seconds"]
     for r in history.records:
         secs = r.seconds if log_timing else 0.0
         lines.append(f"{r.epoch} {r.loss!r} {r.train_acc!r} {r.val_acc!r} {secs!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_history(path: Path) -> TrainHistory:
-    records = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        epoch, loss, train_acc, val_acc, seconds = line.split()
-        records.append(EpochRecord(int(epoch), float(loss), float(train_acc),
-                                   float(val_acc), float(seconds)))
-    return TrainHistory(records)
+    rows = read_table(path, (int, float, float, float, float))
+    return TrainHistory([EpochRecord(*row) for row in rows])
 
 
 # --- optimizer ---------------------------------------------------------------

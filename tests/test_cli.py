@@ -164,6 +164,56 @@ class TestFuseCommand:
         assert not (out / "fused.txt").exists()
 
 
+class TestBadInput:
+    """Every command reports bad input as one ``error:`` line and exit code 2."""
+
+    def _assert_one_error_line(self, capsys, *fragments):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        for fragment in fragments:
+            assert fragment in err
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--epochs", "1", "--quiet"],
+        ["eval", "--from", "CKPT"],
+        ["augment-preview"],
+    ])
+    def test_empty_class_directory(self, trained_dir, config_file, tmp_path, capsys,
+                                   command):
+        root = tmp_path / "tree"
+        write_dataset_tree(four_class_dataset(per_class=2, size=12, seed=2), root)
+        (root / "empty").mkdir()
+        args = [str(trained_dir / "checkpoint.ckpt") if a == "CKPT" else a for a in command]
+        if command[0] == "train":
+            args += ["--config", str(config_file)]
+        code = main([*args, "--data", str(root), "--out", str(tmp_path / "out")])
+        assert code == 2
+        self._assert_one_error_line(capsys, "empty", "no images")
+
+    def test_config_without_section_header(self, data_dir, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("epochs = 2\n")
+        code = main(["train", "--data", str(data_dir), "--config", str(path),
+                     "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 2
+        self._assert_one_error_line(capsys, str(path), "no section headers")
+
+    def test_damaged_checkpoint(self, data_dir, trained_dir, tmp_path, capsys):
+        path = tmp_path / "cut.ckpt"
+        path.write_bytes((trained_dir / "checkpoint.ckpt").read_bytes()[:-20])
+        code = main(["eval", "--data", str(data_dir), "--from", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        self._assert_one_error_line(capsys, str(path), "digest")
+
+    def test_ragged_probability_file(self, tmp_path, capsys):
+        path = tmp_path / "probs.txt"
+        path.write_text("a/0 0.5 0.5\na/1 1.0\n")
+        code = main(["fuse", "--probs", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        self._assert_one_error_line(capsys, f"{path}:2:")
+
+
 class TestSplitCommand:
     def test_membership_lists(self, data_dir, tmp_path):
         out = tmp_path / "split"

@@ -145,6 +145,7 @@ class TestConfigBundle:
         ("model", "zero_init_biases", "maybe"),
         ("backbone", "stages", "8:2"),
         ("train", "patience", "x"),
+        ("train", "batch_size", "1"),  # parses, then TrainConfig rejects it
     ])
     def test_bad_value_rejected(self, section, key, raw):
         bundle = ConfigBundle()
@@ -162,3 +163,10 @@ class TestConfigBundle:
         path.write_text("[head]\nhidden_wdth = 8\n")
         with pytest.raises(ConfigError, match="hidden_wdth"):
             ConfigBundle(path)
+
+    def test_file_without_section_header_rejected(self, tmp_path):
+        path = tmp_path / "bare.cfg"
+        path.write_text("epochs = 3\n")
+        with pytest.raises(ConfigError, match="no section headers") as info:
+            ConfigBundle(path)
+        assert "\n" not in str(info.value)

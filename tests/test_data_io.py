@@ -232,6 +232,28 @@ class TestCheckpoint:
         save_checkpoint(ckpt, path)
         assert load_checkpoint(path).model == ckpt.model
 
+    @pytest.mark.parametrize("damage", [
+        {"drop": "tensors"}, {"drop": "model"}, {"drop": "metadata"},
+        {"pool": "bogus"},  # ModelConfig.from_dict rejects it
+    ])
+    def test_header_missing_or_bad_field_rejected(self, tmp_path, damage):
+        import hashlib
+        import json
+
+        blob = checkpoint_bytes(self._checkpoint())[:-8]
+        magic, length, rest = blob.split(b"\n", 2)
+        header = json.loads(rest[:int(length)])
+        if "drop" in damage:
+            del header[damage["drop"]]
+        else:
+            header["model"]["pool"] = damage["pool"]
+        encoded = json.dumps(header).encode()
+        body = b"%s\n%d\n%s%s" % (magic, len(encoded), encoded, rest[int(length):])
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(body + hashlib.sha256(body).digest()[:8])
+        with pytest.raises(CheckpointError, match="bad.ckpt: malformed header"):
+            load_checkpoint(path)
+
     def test_header_with_concat_axis_loads(self, tmp_path):
         # Files written before concat_axis was removed carry it in the header.
         import hashlib

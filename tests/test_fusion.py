@@ -8,7 +8,6 @@ from scenekit.fusion import (
     accuracy,
     format_fusion_report,
     load_probability_matrix,
-    mean_fuse,
     predict_label,
     prod_fuse,
     save_probability_matrix,
@@ -135,13 +134,6 @@ class TestAccuracy:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             accuracy(np.array([0]), np.array([0, 1]))
-
-
-class TestMeanFuse:
-    def test_mean_of_identical_is_identity(self):
-        rng = np.random.default_rng(6)
-        mat = rng.dirichlet(np.ones(4), size=5)
-        assert np.allclose(mean_fuse(FusionInput([mat, mat])), mat, atol=1e-15)
 
 
 class TestMatrixFiles:
