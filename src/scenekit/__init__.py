@@ -11,7 +11,6 @@ in-repo tape and verified against finite differences.
 from .attention import AttentionConfig, attention_pool, global_pool, multihead_attention
 from .augment import (
     LabeledBatch,
-    MixupConfig,
     center_crop,
     mixup_expand,
     random_crop,

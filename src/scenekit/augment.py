@@ -13,9 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configdict import ConfigDict
-
 ROTATION_ANGLES = (90, 180, 270)
+# Mix-ratio sources, one draw of each per pair: Uniform(0, 1), and the
+# mixup literature's usual Beta(0.2, 0.2).
+MIXUP_UNIFORM = (0.0, 1.0)
+MIXUP_BETA = (0.2, 0.2)
 
 
 @dataclass
@@ -35,25 +37,6 @@ class LabeledBatch:
     @property
     def size(self) -> int:
         return self.images.shape[0]
-
-
-@dataclass(frozen=True)
-class MixupConfig(ConfigDict):
-    """Mix-ratio sources: one uniform draw and one Beta draw per pair.
-
-    Beta(0.2, 0.2) is the usual convention from the mixup literature.
-    """
-
-    uniform_low: float = 0.0
-    uniform_high: float = 1.0
-    beta_alpha: float = 0.2
-    beta_beta: float = 0.2
-
-    def __post_init__(self):
-        if not 0.0 <= self.uniform_low < self.uniform_high <= 1.0:
-            raise ValueError("need 0 <= uniform_low < uniform_high <= 1")
-        if self.beta_alpha <= 0 or self.beta_beta <= 0:
-            raise ValueError("Beta parameters must be > 0")
 
 
 def rotate(img: np.ndarray, angle: int) -> np.ndarray:
@@ -99,29 +82,25 @@ def center_crop(batch: np.ndarray, reduction: int) -> np.ndarray:
     return batch[:, x:x + w - reduction, y:y + h - reduction, :]
 
 
-def random_erase(img: np.ndarray, size: int, fill: float,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Set one contiguous size x size block to ``fill`` across all channels."""
+def random_erase(img: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Set one contiguous size x size block to 0 across all channels."""
     if img.ndim != 3:
         raise ValueError(f"random_erase expects [W, H, C], got {img.shape}")
     w, h, _ = img.shape
     if size < 0 or size > min(w, h):
         raise ValueError(f"erase size {size} invalid for {w}x{h} image")
-    if not 0.0 <= fill <= 1.0:
-        raise ValueError(f"erase fill {fill} outside [0, 1]")
     out = img.copy()
     if size == 0:
         return out
     x = int(rng.integers(0, w - size + 1))
     y = int(rng.integers(0, h - size + 1))
-    out[x:x + size, y:y + size, :] = fill
+    out[x:x + size, y:y + size, :] = 0.0
     return out
 
 
-def erase_batch(batch: np.ndarray, size: int, fill: float,
-                rng: np.random.Generator) -> np.ndarray:
+def erase_batch(batch: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
     """Apply random_erase to every image in the batch independently."""
-    return np.stack([random_erase(batch[i], size, fill, rng)
+    return np.stack([random_erase(batch[i], size, rng)
                      for i in range(batch.shape[0])])
 
 
@@ -135,8 +114,7 @@ def _mix_group(batch: LabeledBatch, lam: np.ndarray,
     return images, labels
 
 
-def mixup_expand(batch: LabeledBatch, cfg: MixupConfig,
-                 rng: np.random.Generator) -> LabeledBatch:
+def mixup_expand(batch: LabeledBatch, rng: np.random.Generator) -> LabeledBatch:
     """Triple the batch: originals, uniform-ratio mixes, Beta-ratio mixes.
 
     Each mixed example is lam * x_i + (1 - lam) * x_p(i) for a random
@@ -148,9 +126,9 @@ def mixup_expand(batch: LabeledBatch, cfg: MixupConfig,
     sums = batch.labels.sum(axis=1)
     if np.abs(sums - 1.0).max() > 1e-6:
         raise ValueError("mixup labels must be distributions summing to 1")
-    lam_uniform = rng.uniform(cfg.uniform_low, cfg.uniform_high, size=batch.size)
+    lam_uniform = rng.uniform(*MIXUP_UNIFORM, size=batch.size)
     uniform_images, uniform_labels = _mix_group(batch, lam_uniform, rng)
-    lam_beta = rng.beta(cfg.beta_alpha, cfg.beta_beta, size=batch.size)
+    lam_beta = rng.beta(*MIXUP_BETA, size=batch.size)
     beta_images, beta_labels = _mix_group(batch, lam_beta, rng)
     images = np.concatenate([batch.images, uniform_images, beta_images], axis=0)
     labels = np.concatenate([batch.labels, uniform_labels, beta_labels], axis=0)

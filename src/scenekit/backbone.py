@@ -15,6 +15,8 @@ from .configdict import ConfigDict
 from .params import ModelParams
 from .tensor import ShapeError, Tensor, add, from_op, relu
 
+IN_CHANNELS = 3  # RGB: every image reader yields [W, H, 3]
+
 
 @dataclass(frozen=True)
 class ConvStage:
@@ -32,7 +34,6 @@ class BackboneConfig(ConfigDict):
         ConvStage(32, 2, 2),
         ConvStage(32, 2, 2),
     )
-    in_channels: int = 3
 
     @property
     def feature_channels(self) -> int:
@@ -102,7 +103,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
 def param_shapes(cfg: BackboneConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Deterministic (name, shape) manifest of the trunk's parameters."""
     shapes = []
-    c_in = cfg.in_channels
+    c_in = IN_CHANNELS
     for i, st in enumerate(cfg.stages):
         shapes.append((f"backbone.s{i}.kernel", (st.kernel, st.kernel, c_in, st.out_channels)))
         shapes.append((f"backbone.s{i}.bias", (st.out_channels,)))
@@ -116,9 +117,9 @@ def backbone_forward(images: Tensor, params: ModelParams, cfg: BackboneConfig) -
         raise ShapeError(f"backbone_forward expects rank-4 input, got {images.shape}")
     if images.shape[1] != images.shape[2]:
         raise ShapeError(f"backbone_forward expects square images, got {images.shape}")
-    if images.shape[3] != cfg.in_channels:
+    if images.shape[3] != IN_CHANNELS:
         raise ShapeError(
-            f"backbone_forward: input has {images.shape[3]} channels, config says {cfg.in_channels}")
+            f"backbone_forward: input has {images.shape[3]} channels, expected {IN_CHANNELS}")
     cfg.spatial_output(images.shape[1])  # raises early on incompatible sizes
     x = images
     for i, st in enumerate(cfg.stages):

@@ -57,7 +57,10 @@ def save_checkpoint(ckpt: Checkpoint, path: Path) -> None:
 
 
 def load_checkpoint(path: Path) -> Checkpoint:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read: {exc}") from exc
     end = len(raw) - DIGEST_BYTES  # the body is raw[:end]; it is never copied
     if end < 0:
         raise CheckpointError(f"{path}: file too short to be a checkpoint")

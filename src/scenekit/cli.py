@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import LabeledBatch, MixupConfig, mixup_expand, random_crop, random_erase, rotate
+from .augment import LabeledBatch, mixup_expand, random_crop, random_erase, rotate
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigBundle, ConfigError
 from .data import (
@@ -60,23 +60,11 @@ def write_manifest(out_dir: Path, command: str, settings: dict,
 
 
 def _bundle_from_args(args) -> ConfigBundle:
+    """The config file's values, overridden by each flag whose dest is ``section.key``."""
     bundle = ConfigBundle(args.config)
-    overrides = [
-        ("train", "seed", getattr(args, "seed", None)),
-        ("train", "strategy", getattr(args, "strategy", None)),
-        ("train", "epochs", getattr(args, "epochs", None)),
-        ("train", "batch_size", getattr(args, "batch_size", None)),
-        ("train", "learning_rate", getattr(args, "learning_rate", None)),
-        ("train", "crop_reduction", getattr(args, "crop_reduction", None)),
-        ("train", "erase_size", getattr(args, "erase_size", None)),
-        ("model", "pool", getattr(args, "pool", None)),
-        ("attention", "stream_pool_mode", getattr(args, "pool_mode", None)),
-        ("attention", "num_heads", getattr(args, "num_heads", None)),
-        ("attention", "key_dim", getattr(args, "key_dim", None)),
-        ("head", "hidden_width", getattr(args, "hidden_width", None)),
-    ]
-    for section, key, value in overrides:
-        bundle.override(section, key, value)
+    for dest, value in vars(args).items():
+        if "." in dest:
+            bundle.override(*dest.split("."), value)
     return bundle
 
 
@@ -180,7 +168,10 @@ def cmd_fuse(args) -> int:
         if ids != id_lists[0][1]:
             raise TableError(f"example ids in {path} differ from those in {args.probs[0]}; "
                              f"rows must refer to the same examples in the same order")
-    fusion = FusionInput(matrices, model_ids=names)
+    try:
+        fusion = FusionInput(matrices, model_ids=names)
+    except ValueError as exc:
+        raise TableError(f"cannot fuse {' '.join(map(str, args.probs))}: {exc}") from exc
     fused = prod_fuse(fusion, normalized=args.normalized)
     out = _out_dir(args)
     fused_path = out / "fused.txt"
@@ -209,7 +200,7 @@ def cmd_split(args) -> int:
     root = Path(args.data)
     classes = scan_tree(root)
     memberships = split_indices([len(files) for _, files in classes],
-                                args.train_fraction, args.seed)
+                                args.train_fraction, np.random.default_rng(args.seed))
     out = _out_dir(args)
     train_path, test_path = out / "train.txt", out / "test.txt"
     for path, side in ((train_path, 0), (test_path, 1)):
@@ -241,7 +232,7 @@ def cmd_augment_preview(args) -> int:
             "rot180": rotate(img, 180),
             "rot270": rotate(img, 270),
             "cropped": random_crop(img[None], min(args.crop, img.shape[0] - 1), rng)[0],
-            "erased": random_erase(img, min(args.erase, img.shape[0]), 0.0, rng),
+            "erased": random_erase(img, min(args.erase, img.shape[0]), rng),
         }
         for name, var in variants.items():
             path = out / f"{stem}_{name}.ppm"
@@ -250,7 +241,7 @@ def cmd_augment_preview(args) -> int:
     if count >= 2:
         batch = LabeledBatch(images[:count],
                              one_hot(labels[:count], dataset.num_classes))
-        mixed = mixup_expand(batch, MixupConfig(), rng)
+        mixed = mixup_expand(batch, rng)
         for j in range(count, min(2 * count, mixed.size)):
             path = out / f"mixup{j - count:02d}.ppm"
             write_ppm(mixed.images[j], path)
@@ -311,20 +302,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model")
     common_io(p)
     p.add_argument("--config", type=Path, default=None, help="config file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--strategy", choices=("direct", "transfer"), default=None)
+    p.add_argument("--seed", type=int, dest="train.seed")
+    p.add_argument("--strategy", choices=("direct", "transfer"), dest="train.strategy")
     p.add_argument("--from", dest="source", default=None,
                    help="source checkpoint for transfer learning")
-    p.add_argument("--pool", choices=("attention", "avg", "max"), default=None)
-    p.add_argument("--pool-mode", choices=("average", "max"), default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--crop-reduction", type=int, default=None)
-    p.add_argument("--erase-size", type=int, default=None)
-    p.add_argument("--num-heads", type=int, default=None)
-    p.add_argument("--key-dim", type=int, default=None)
-    p.add_argument("--hidden-width", type=int, default=None)
+    p.add_argument("--pool", choices=("attention", "avg", "max"), dest="model.pool")
+    p.add_argument("--pool-mode", choices=("average", "max"), dest="attention.stream_pool_mode")
+    p.add_argument("--epochs", type=int, dest="train.epochs")
+    p.add_argument("--batch-size", type=int, dest="train.batch_size")
+    p.add_argument("--learning-rate", type=float, dest="train.learning_rate")
+    p.add_argument("--crop-reduction", type=int, dest="train.crop_reduction")
+    p.add_argument("--erase-size", type=int, dest="train.erase_size")
+    p.add_argument("--num-heads", type=int, dest="attention.num_heads")
+    p.add_argument("--key-dim", type=int, dest="attention.key_dim")
+    p.add_argument("--hidden-width", type=int, dest="head.hidden_width")
     p.add_argument("--train-fraction", type=float, default=None,
                    help="optional split applied before training")
     p.add_argument("--split-seed", type=int, default=0)

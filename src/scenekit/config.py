@@ -20,22 +20,17 @@ import typing
 from pathlib import Path
 
 from .attention import AttentionConfig
-from .augment import MixupConfig
 from .backbone import BackboneConfig, ConvStage
 from .configdict import ConfigDict, field_types, optional_inner
 from .head import HeadConfig, LossConfig
 from .model import ModelConfig
 from .trainer import TrainConfig
 
-_BOOL_TRUE = ("1", "true", "yes", "on")
-_BOOL_FALSE = ("0", "false", "no", "off")
-
 SECTIONS: dict[str, type] = {
     "backbone": BackboneConfig,
     "attention": AttentionConfig,
     "head": HeadConfig,
     "loss": LossConfig,
-    "mixup": MixupConfig,
     "model": ModelConfig,
     "train": TrainConfig,
 }
@@ -44,15 +39,6 @@ FILE_KEYS = {("loss", "lam"): "lambda"}  # (section, field) -> key, where they d
 
 class ConfigError(ValueError):
     pass
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in _BOOL_TRUE:
-        return True
-    if lowered in _BOOL_FALSE:
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
 
 
 def _parse_stages(text: str) -> tuple[ConvStage, ...]:
@@ -68,8 +54,6 @@ def _parse_stages(text: str) -> tuple[ConvStage, ...]:
 
 
 def _parser(tp) -> typing.Callable[[str], typing.Any]:
-    if tp is bool:
-        return _parse_bool
     if typing.get_origin(tp) is tuple:
         return _parse_stages
     inner = optional_inner(tp)
@@ -148,7 +132,7 @@ class ConfigBundle:
             head=self._build("head", **head), loss=self._build("loss"))
 
     def train_config(self) -> TrainConfig:
-        return self._build("train", mixup=self._build("mixup"))
+        return self._build("train")
 
     def resolved(self) -> dict:
         return {section: dict(keys) for section, keys in sorted(self.values.items())}

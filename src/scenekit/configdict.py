@@ -1,6 +1,6 @@
 """Dict round trips for the frozen config dataclasses, derived from their fields.
 
-Every config type (trunk, attention, head, loss, mixup, model, training)
+Every config type (trunk, attention, head, loss, model, training)
 lists its fields once, in its dataclass; ``to_dict``/``from_dict`` and
 the config-file reader work from that list. This module imports nothing
 from scenekit, so every config module can use it.

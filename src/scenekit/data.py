@@ -195,32 +195,41 @@ def load_dataset(root: Path) -> Dataset:
     return Dataset(tuple(name for name, _ in classes), images, labels)
 
 
-def split_indices(class_counts: list[int], train_fraction: float, seed: int
-                  ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-class (train, test) index arrays for a stratified split.
+def split_indices(class_counts: list[int], fraction: float, rng: np.random.Generator,
+                  min_first: int = 1) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-class (first, second) index arrays for a stratified split.
 
-    Per-class train count is round-to-nearest with a floor of 1.
-    Membership is a pure function of (class_counts, seed); classes are
-    consumed in index order from one seeded generator.
+    A class of n items puts round-to-nearest(fraction * n) of them first, but
+    at least ``min_first`` and at most n. Classes are consumed in index order,
+    one permutation each from ``rng``; an empty class draws nothing.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    rng = np.random.default_rng(seed)
+    if not (0.0 < fraction < 1.0 or fraction == min_first == 0):
+        raise ValueError(f"fraction must be in (0, 1), or 0 with min_first 0; got {fraction}")
     memberships = []
     for n in class_counts:
-        n_train = min(n, max(1, int(np.floor(train_fraction * n + 0.5))))
+        n_first = min(n, max(min_first, int(np.floor(fraction * n + 0.5))))
         perm = rng.permutation(n)
-        memberships.append((np.sort(perm[:n_train]), np.sort(perm[n_train:])))
+        memberships.append((np.sort(perm[:n_first]), np.sort(perm[n_first:])))
     return memberships
+
+
+def split_rows(dataset: Dataset, fraction: float, rng: np.random.Generator,
+               min_first: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Dataset rows of each side of ``split_indices``, class by class."""
+    rows = dataset.class_rows()
+    memberships = split_indices([len(r) for r in rows], fraction, rng, min_first)
+    first, second = (np.concatenate([r[m[side]] for r, m in zip(rows, memberships)])
+                     for side in (0, 1))
+    return first, second
 
 
 def split(dataset: Dataset, train_fraction: float, seed: int
           ) -> tuple[Dataset, Dataset]:
-    """Stratified train/test split of a dataset; disjoint and exhaustive."""
-    rows = dataset.class_rows()
-    memberships = split_indices([len(r) for r in rows], train_fraction, seed)
-    train, test = (np.concatenate([r[m[side]] for r, m in zip(rows, memberships)])
-                   for side in (0, 1))
+    """Stratified train/test split of a dataset; disjoint and exhaustive.
+
+    Each class keeps at least one training image.
+    """
+    train, test = split_rows(dataset, train_fraction, np.random.default_rng(seed))
     return (Dataset(dataset.class_names, dataset.images[train], dataset.labels[train]),
             Dataset(dataset.class_names, dataset.images[test], dataset.labels[test]))
 

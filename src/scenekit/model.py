@@ -33,7 +33,6 @@ class ModelConfig(ConfigDict):
     head: HeadConfig = field(default_factory=HeadConfig)
     loss: LossConfig = field(default_factory=LossConfig)
     pool: str = "attention"
-    zero_init_biases: bool = False
 
     def __post_init__(self):
         if self.pool not in POOL_CHOICES:
@@ -86,11 +85,10 @@ def init_params(cfg: ModelConfig, strategy: str,
                 rng: np.random.Generator | None = None) -> ModelParams:
     """Initialize all model parameters for the given training strategy.
 
-    direct: every weight is drawn i.i.d. Gaussian(mean 0, variance 0.1).
+    direct: every weight and bias is drawn i.i.d. Gaussian(mean 0, variance 0.1).
     transfer: backbone parameters (the conv trunk, plus the attention
     stage when the source model has a matching one) are copied bit-exact
     from ``source``; head parameters are freshly sampled as in direct.
-    Biases follow the same draw unless ``zero_init_biases`` is set.
     """
     if strategy not in ("direct", "transfer"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -115,10 +113,7 @@ def init_params(cfg: ModelConfig, strategy: str,
             # Attention params may legitimately be absent (source used
             # global pooling); a missing conv tensor is a config mismatch.
             raise ShapeError(f"checkpoint is missing backbone tensor {name!r}")
-        if cfg.zero_init_biases and name.rsplit(".", 1)[-1].startswith("b"):
-            params.add(name, np.zeros(shape))
-        else:
-            params.add(name, rng.normal(0.0, sigma, size=shape))
+        params.add(name, rng.normal(0.0, sigma, size=shape))
     return params
 
 

@@ -12,13 +12,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
-from .augment import LabeledBatch, MixupConfig, center_crop, erase_batch, mixup_expand, random_crop
+from .augment import LabeledBatch, center_crop, erase_batch, mixup_expand, random_crop
 from .checkpoint import Checkpoint
 from .configdict import ConfigDict
-from .data import Dataset, one_hot
+from .data import Dataset, one_hot, split_rows
 from .files import read_table, write_atomic
 from .head import kl_loss
 from .model import ModelConfig, init_params, model_forward
@@ -38,26 +39,22 @@ class TrainConfig(ConfigDict):
     learning_rate: float | None = None  # None: 1e-4 direct, 1e-5 transfer
     batch_size: int = 32
     epochs: int = 10
-    optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     seed: int = 0
     crop_reduction: int = 10
     erase_size: int = 20
-    erase_fill: float = 0.0
-    mixup: MixupConfig = field(default_factory=MixupConfig)
     val_fraction: float = 0.1
     patience: int | None = None          # opt-in: stop after no val improvement
     val_acc_target: float | None = None  # opt-in: stop once val acc reaches this
+    # Adam's constants: class attributes, not fields, so no config sets them.
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    adam_epsilon: ClassVar[float] = 1e-8
 
     def __post_init__(self):
         if self.strategy not in DEFAULT_LEARNING_RATES:
             raise ValueError(f"strategy must be one of {tuple(DEFAULT_LEARNING_RATES)}")
         if self.learning_rate is not None and self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError("optimizer must be 'adam' or 'sgd'")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
         if not 0.0 <= self.val_fraction < 1.0:
@@ -126,15 +123,11 @@ class OptimizerState:
 
 def optimizer_step(params: ModelParams, state: OptimizerState,
                    cfg: TrainConfig) -> None:
-    """One Adam (default) or plain SGD update from the accumulated grads."""
+    """One Adam update from the accumulated grads."""
     lr = cfg.effective_learning_rate
     for name, p in params.items():
         if not np.isfinite(p.grad).all():
             raise TrainingDivergedError(f"non-finite gradient in {name!r}")
-    if cfg.optimizer == "sgd":
-        for _, p in params.items():
-            p.data -= lr * p.grad
-        return
     state.step += 1
     t = state.step
     b1, b2 = cfg.beta1, cfg.beta2
@@ -167,20 +160,8 @@ def training_batches(images: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
         if len(idx) < 2:
             continue
         batch_images = random_crop(images[idx], cfg.crop_reduction, crop_rng)
-        batch_images = erase_batch(batch_images, cfg.erase_size, cfg.erase_fill, erase_rng)
-        yield mixup_expand(LabeledBatch(batch_images, labels[idx]), cfg.mixup, mixup_rng)
-
-
-def _stratified_indices(labels: np.ndarray, fraction: float,
-                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    held, kept = [], []
-    for cls in np.unique(labels):
-        idx = np.flatnonzero(labels == cls)
-        n_held = int(np.floor(fraction * len(idx) + 0.5))
-        perm = rng.permutation(len(idx))
-        held.extend(idx[perm[:n_held]])
-        kept.extend(idx[perm[n_held:]])
-    return np.sort(np.array(kept, dtype=np.int64)), np.sort(np.array(held, dtype=np.int64))
+        batch_images = erase_batch(batch_images, cfg.erase_size, erase_rng)
+        yield mixup_expand(LabeledBatch(batch_images, labels[idx]), mixup_rng)
 
 
 def evaluate(params: ModelParams, model_cfg: ModelConfig, images: np.ndarray,
@@ -225,7 +206,8 @@ def train(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
     (init_rng, val_rng, shuffle_rng, crop_rng,
      erase_rng, mixup_rng, dropout_rng) = (np.random.default_rng(s) for s in streams)
 
-    train_idx, val_idx = _stratified_indices(int_labels, train_cfg.val_fraction, val_rng)
+    val_idx, train_idx = (np.sort(rows) for rows in split_rows(
+        dataset, train_cfg.val_fraction, val_rng, min_first=0))
     if len(train_idx) < train_cfg.batch_size:
         raise ValueError(
             f"training split of {len(train_idx)} images is smaller than one "

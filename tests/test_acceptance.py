@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from scenekit.attention import AttentionConfig, attention_pool, param_shapes as attn_shapes
-from scenekit.augment import LabeledBatch, MixupConfig, mixup_expand, rotate
+from scenekit.augment import LabeledBatch, mixup_expand, rotate
 from scenekit.backbone import BackboneConfig, ConvStage
 from scenekit.cli import main as cli_main
 from scenekit.data import one_hot, split, write_dataset_tree
@@ -83,7 +83,7 @@ def test_criterion_2_augmentation_contracts():
 
     batch = LabeledBatch(rng.random((32, 8, 8, 3)),
                          one_hot(rng.integers(0, 5, size=32), 5))
-    mixed = mixup_expand(batch, MixupConfig(), rng)
+    mixed = mixup_expand(batch, rng)
     mixup_ok = (mixed.size == 96
                 and np.abs(mixed.labels.sum(axis=1) - 1.0).max() < 1e-12)
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from scenekit.augment import (
     LabeledBatch,
-    MixupConfig,
     _mix_group,
     center_crop,
     erase_batch,
@@ -173,7 +172,7 @@ class TestRandomErase:
         rng = np.random.default_rng(14)
         for _ in range(1000):
             img = rng.uniform(0.1, 1.0, size=(12, 9, 3))
-            out = random_erase(img, 4, 0.0, rng)
+            out = random_erase(img, 4, rng)
             changed = np.any(out != img, axis=2)
             assert changed.sum() == 16
             xs, ys = np.where(changed)
@@ -183,32 +182,26 @@ class TestRandomErase:
     def test_block_is_contiguous_2x2_on_4x4(self):
         rng = np.random.default_rng(15)
         img = np.full((4, 4, 3), 0.5)
-        out = random_erase(img, 2, 0.0, rng)
+        out = random_erase(img, 2, rng)
         changed = np.any(out != img, axis=2)
         assert changed.sum() == 4
 
     def test_size_zero_is_identity(self):
         rng = np.random.default_rng(16)
         img = rng.random((6, 6, 3))
-        assert np.array_equal(random_erase(img, 0, 0.0, rng), img)
+        assert np.array_equal(random_erase(img, 0, rng), img)
 
     def test_size_too_large_rejected(self):
         rng = np.random.default_rng(17)
         with pytest.raises(ValueError):
-            random_erase(rng.random((6, 6, 3)), 7, 0.0, rng)
+            random_erase(rng.random((6, 6, 3)), 7, rng)
 
     def test_untouched_pixels_bit_identical(self):
         rng = np.random.default_rng(18)
         img = rng.uniform(0.1, 1.0, size=(10, 10, 3))
-        out = random_erase(img, 3, 0.0, rng)
+        out = random_erase(img, 3, rng)
         untouched = np.all(out == img, axis=2)
         assert out[untouched].tobytes() == img[untouched].tobytes()
-
-    def test_custom_fill_value(self):
-        rng = np.random.default_rng(19)
-        img = np.zeros((6, 6, 3))
-        out = random_erase(img, 2, 0.75, rng)
-        assert (out == 0.75).sum() == 12  # 2*2 pixels * 3 channels
 
 
 class TestMixup:
@@ -219,13 +212,13 @@ class TestMixup:
 
     def test_batch_32_becomes_96(self):
         rng = np.random.default_rng(20)
-        out = mixup_expand(self._batch(rng), MixupConfig(), rng)
+        out = mixup_expand(self._batch(rng), rng)
         assert out.size == 96
 
     def test_originals_lead_the_output(self):
         rng = np.random.default_rng(21)
         batch = self._batch(rng)
-        out = mixup_expand(batch, MixupConfig(), rng)
+        out = mixup_expand(batch, rng)
         assert np.array_equal(out.images[:32], batch.images)
         assert np.array_equal(out.labels[:32], batch.labels)
 
@@ -250,13 +243,13 @@ class TestMixup:
 
     def test_label_rows_sum_to_one(self):
         rng = np.random.default_rng(23)
-        out = mixup_expand(self._batch(rng), MixupConfig(), rng)
+        out = mixup_expand(self._batch(rng), rng)
         assert np.abs(out.labels.sum(axis=1) - 1.0).max() < 1e-12
         assert out.labels.min() >= 0.0
 
     def test_mixed_pixels_stay_in_unit_interval(self):
         rng = np.random.default_rng(24)
-        out = mixup_expand(self._batch(rng), MixupConfig(), rng)
+        out = mixup_expand(self._batch(rng), rng)
         assert out.images.min() >= 0.0
         assert out.images.max() <= 1.0
 
@@ -264,21 +257,21 @@ class TestMixup:
         rng = np.random.default_rng(25)
         batch = LabeledBatch(rng.random((1, 4, 4, 3)), one_hot(np.array([0]), 2))
         with pytest.raises(ValueError, match="at least 2"):
-            mixup_expand(batch, MixupConfig(), rng)
+            mixup_expand(batch, rng)
 
     def test_unnormalized_labels_rejected(self):
         rng = np.random.default_rng(26)
         batch = LabeledBatch(rng.random((4, 4, 4, 3)), np.full((4, 2), 0.9))
         with pytest.raises(ValueError, match="summing to 1"):
-            mixup_expand(batch, MixupConfig(), rng)
+            mixup_expand(batch, rng)
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_stream_bit_reproducible_for_fixed_seed(self, seed):
         base = np.random.default_rng(99)
         batch = self._batch(base, n=6, w=4)
-        a = mixup_expand(batch, MixupConfig(), np.random.default_rng(seed))
-        b = mixup_expand(batch, MixupConfig(), np.random.default_rng(seed))
+        a = mixup_expand(batch, np.random.default_rng(seed))
+        b = mixup_expand(batch, np.random.default_rng(seed))
         assert a.images.tobytes() == b.images.tobytes()
         assert a.labels.tobytes() == b.labels.tobytes()
 
@@ -287,7 +280,7 @@ class TestEraseBatch:
     def test_each_image_erased_independently(self):
         rng = np.random.default_rng(27)
         batch = rng.uniform(0.1, 1.0, size=(16, 10, 10, 3))
-        out = erase_batch(batch, 3, 0.0, rng)
+        out = erase_batch(batch, 3, rng)
         for i in range(16):
             changed = np.any(out[i] != batch[i], axis=2)
             assert changed.sum() == 9

@@ -5,7 +5,7 @@ import pytest
 
 from scenekit.backbone import BackboneConfig, ConvStage, backbone_forward, conv2d, param_shapes
 from scenekit.gradcheck import finite_difference_check
-from scenekit.model import ModelConfig, desk_model_config, init_params
+from scenekit.model import desk_model_config, init_params
 from scenekit.params import ModelParams
 from scenekit.tensor import ShapeError, Tensor, mul
 
@@ -172,14 +172,3 @@ class TestInitParams:
                                                rng=np.random.default_rng(1)))
         with pytest.raises(ShapeError, match="backbone.s0.kernel"):
             init_params(big, "transfer", source=source, rng=np.random.default_rng(2))
-
-    def test_zero_bias_flag(self):
-        cfg = desk_model_config(num_classes=4)
-        cfg = ModelConfig(backbone=cfg.backbone, attention=cfg.attention,
-                          head=cfg.head, loss=cfg.loss, pool=cfg.pool,
-                          zero_init_biases=True)
-        params = init_params(cfg, "direct", rng=np.random.default_rng(9))
-        assert np.array_equal(params["backbone.s0.bias"].data, np.zeros(16))
-        assert np.array_equal(params["head.fc1.b"].data,
-                              np.zeros(cfg.head.hidden_width))
-        assert params["head.fc1.w"].data.std() > 0.1

@@ -206,6 +206,33 @@ class TestBadInput:
         assert code == 2
         self._assert_one_error_line(capsys, str(path), "digest")
 
+    def test_missing_checkpoint(self, data_dir, tmp_path, capsys):
+        path = tmp_path / "nothere.ckpt"
+        code = main(["eval", "--data", str(data_dir), "--from", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        self._assert_one_error_line(capsys, str(path), "cannot read")
+
+    def test_fuse_different_class_counts(self, tmp_path, capsys):
+        two, three = tmp_path / "two.txt", tmp_path / "three.txt"
+        two.write_text("a/0 0.25 0.75\na/1 0.5 0.5\n")
+        three.write_text("a/0 0.2 0.3 0.5\na/1 0.1 0.1 0.8\n")
+        out = tmp_path / "out"
+        assert main(["fuse", "--probs", str(two), str(three), "--out", str(out)]) == 2
+        self._assert_one_error_line(capsys, str(two), str(three), "shape")
+        assert not (out / "fused.txt").exists()
+
+    def test_refuse_unnormalised_output(self, data_dir, trained_dir, tmp_path, capsys):
+        eval_dir, out = tmp_path / "e1", tmp_path / "fused"
+        main(["eval", "--data", str(data_dir),
+              "--from", str(trained_dir / "checkpoint.ckpt"), "--out", str(eval_dir)])
+        probs = str(eval_dir / "probs.txt")
+        assert main(["fuse", "--probs", probs, probs, "--out", str(out)]) == 0
+        capsys.readouterr()
+        fused = str(out / "fused.txt")
+        assert main(["fuse", "--probs", fused, probs, "--out", str(tmp_path / "again")]) == 2
+        self._assert_one_error_line(capsys, fused, "sum to 1")
+
     def test_ragged_probability_file(self, tmp_path, capsys):
         path = tmp_path / "probs.txt"
         path.write_text("a/0 0.5 0.5\na/1 1.0\n")

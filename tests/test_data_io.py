@@ -146,32 +146,38 @@ class TestSplit:
         assert test.class_counts() == [630] * 45
 
     def test_same_seed_identical_membership(self):
-        memberships_a = split_indices([10, 7, 13], 0.3, seed=42)
-        memberships_b = split_indices([10, 7, 13], 0.3, seed=42)
+        memberships_a = split_indices([10, 7, 13], 0.3, np.random.default_rng(42))
+        memberships_b = split_indices([10, 7, 13], 0.3, np.random.default_rng(42))
         for (ta, ea), (tb, eb) in zip(memberships_a, memberships_b):
             assert np.array_equal(ta, tb)
             assert np.array_equal(ea, eb)
 
     def test_different_seed_differs(self):
-        a = split_indices([50], 0.5, seed=1)[0][0]
-        b = split_indices([50], 0.5, seed=2)[0][0]
+        a = split_indices([50], 0.5, np.random.default_rng(1))[0][0]
+        b = split_indices([50], 0.5, np.random.default_rng(2))[0][0]
         assert not np.array_equal(a, b)
 
     def test_disjoint_and_exhaustive(self):
-        for train_idx, test_idx in split_indices([17, 9], 0.4, seed=3):
+        for train_idx, test_idx in split_indices([17, 9], 0.4, np.random.default_rng(3)):
             joined = np.concatenate([train_idx, test_idx])
             assert len(np.unique(joined)) == len(joined)
             assert set(joined.tolist()) == set(range(len(joined)))
 
     def test_at_least_one_train_item(self):
-        (train_idx, _), = split_indices([6], 0.01, seed=4)
+        (train_idx, _), = split_indices([6], 0.01, np.random.default_rng(4))
         assert len(train_idx) == 1
+
+    def test_floor_is_a_parameter(self):
+        (held, kept), = split_indices([6], 0.01, np.random.default_rng(4), min_first=0)
+        assert len(held) == 0 and len(kept) == 6
+        (held, kept), = split_indices([6], 0.0, np.random.default_rng(4), min_first=0)
+        assert len(held) == 0 and len(kept) == 6
 
     def test_fraction_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            split_indices([10], 0.0, seed=0)
+            split_indices([10], 0.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            split_indices([10], 1.0, seed=0)
+            split_indices([10], 1.0, np.random.default_rng(0), min_first=0)
 
 
 class TestCheckpoint:
