@@ -287,8 +287,23 @@ def cmd_plot(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end like bad input: one ``error:`` line, exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message} (see {self.prog} --help)\n")
+
+
+def fraction(text: str) -> float:
+    """A fraction strictly between 0 and 1, as every split needs."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="scenekit",
         description="Scene classification: augmentation, attention pooling, "
                     "training strategies, PROD fusion.")
@@ -316,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-heads", type=int, dest="attention.num_heads")
     p.add_argument("--key-dim", type=int, dest="attention.key_dim")
     p.add_argument("--hidden-width", type=int, dest="head.hidden_width")
-    p.add_argument("--train-fraction", type=float, default=None,
+    p.add_argument("--train-fraction", type=fraction, default=None,
                    help="optional split applied before training")
     p.add_argument("--split-seed", type=int, default=0)
     p.add_argument("--log-timing", action="store_true",
@@ -328,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     common_io(p)
     p.add_argument("--from", dest="source", required=True, help="checkpoint path")
-    p.add_argument("--train-fraction", type=float, default=None)
+    p.add_argument("--train-fraction", type=fraction, default=None)
     p.add_argument("--split-seed", type=int, default=0)
     p.add_argument("--subset", choices=("train", "test"), default="test")
     p.add_argument("--crop-reduction", type=int, default=None,
@@ -346,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="write train/test membership lists")
     common_io(p)
-    p.add_argument("--train-fraction", type=float, required=True)
+    p.add_argument("--train-fraction", type=fraction, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_split)
 

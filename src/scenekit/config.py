@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .attention import AttentionConfig
 from .backbone import BackboneConfig, ConvStage
-from .configdict import ConfigDict, field_types, optional_inner
+from .configdict import ConfigDict, ConfigError, field_types, optional_inner
 from .head import HeadConfig, LossConfig
 from .model import ModelConfig
 from .trainer import TrainConfig
@@ -35,10 +35,6 @@ SECTIONS: dict[str, type] = {
     "train": TrainConfig,
 }
 FILE_KEYS = {("loss", "lam"): "lambda"}  # (section, field) -> key, where they differ
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _parse_stages(text: str) -> tuple[ConvStage, ...]:

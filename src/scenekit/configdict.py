@@ -14,6 +14,10 @@ import types
 import typing
 
 
+class ConfigError(ValueError):
+    """A setting, or a pair of settings and inputs, that cannot be run."""
+
+
 @functools.cache
 def field_types(cls: type) -> dict[str, typing.Any]:
     """Field name -> resolved annotation, in declaration order.

@@ -118,6 +118,9 @@ def from_op(op: str, inputs: Sequence[Tensor], data: np.ndarray,
 
     Extension point for modules adding fused operations (convolution,
     KL divergence): they supply the forward array and the VJP closure.
+    A VJP may return ``g`` itself or views of it, but must never write
+    into ``g`` or into an array it has returned: :func:`backward` keeps
+    returned arrays as they are and may hand one to several consumers.
     """
     out = Tensor(data)
     if _grad_enabled and any(t.tracked() for t in inputs):
@@ -203,7 +206,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         ga = gb = None
         if a.tracked():
             ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), sa)
-        if b.tracked():
+        if b.tracked() and len(sa) > 2 and len(sb) == 2:
+            # A weight shared across leading axes: fold them into rows, so
+            # its gradient is one GEMM, not a batch of products summed after.
+            gb = ad.reshape(-1, sb[0]).T @ g.reshape(-1, sb[1])
+        elif b.tracked():
             gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, sb)
         return ga, gb
 
@@ -294,7 +301,8 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     def vjp(g: np.ndarray):
         return (np.transpose(g, inverse),)
 
-    return from_op("transpose", (x,), np.ascontiguousarray(np.transpose(x.data, axes)), vjp)
+    # Tensor stores row-major data, so it copies this view once.
+    return from_op("transpose", (x,), np.transpose(x.data, axes), vjp)
 
 
 def tensor_sum(x: Tensor) -> Tensor:
@@ -353,11 +361,10 @@ def backward(loss: Tensor) -> None:
         for inp, gi in zip(t.node.inputs, t.node.vjp(g)):
             if gi is None or not inp.tracked():
                 continue
+            # Never in place: gi may be a view of g, or an array another
+            # input also received (from_op's contract).
             prev = grads.get(id(inp))
-            if prev is None:
-                grads[id(inp)] = np.array(gi, dtype=np.float64, copy=True)
-            else:
-                prev += gi
+            grads[id(inp)] = gi if prev is None else prev + gi
 
 
 # --- binary serialization -------------------------------------------------

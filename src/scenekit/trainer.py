@@ -18,7 +18,7 @@ import numpy as np
 
 from .augment import LabeledBatch, center_crop, erase_batch, mixup_expand, random_crop
 from .checkpoint import Checkpoint
-from .configdict import ConfigDict
+from .configdict import ConfigDict, ConfigError
 from .data import Dataset, one_hot, split_rows
 from .files import read_table, write_atomic
 from .head import kl_loss
@@ -209,9 +209,9 @@ def train(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
     val_idx, train_idx = (np.sort(rows) for rows in split_rows(
         dataset, train_cfg.val_fraction, val_rng, min_first=0))
     if len(train_idx) < train_cfg.batch_size:
-        raise ValueError(
+        raise ConfigError(
             f"training split of {len(train_idx)} images is smaller than one "
-            f"batch of {train_cfg.batch_size}")
+            f"batch of {train_cfg.batch_size}; lower batch_size")
     train_images, train_labels = images[train_idx], labels[train_idx]
     val_images, val_int = images[val_idx], int_labels[val_idx]
 

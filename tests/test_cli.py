@@ -233,6 +233,24 @@ class TestBadInput:
         assert main(["fuse", "--probs", fused, probs, "--out", str(tmp_path / "again")]) == 2
         self._assert_one_error_line(capsys, fused, "sum to 1")
 
+    @pytest.mark.parametrize("command", [
+        ["split", "--train-fraction", "1.5"],
+        ["train", "--train-fraction", "0", "--quiet"],
+        ["eval", "--from", "CKPT", "--train-fraction", "0"],
+    ])
+    def test_fraction_out_of_range(self, data_dir, trained_dir, tmp_path, capsys, command):
+        args = [str(trained_dir / "checkpoint.ckpt") if a == "CKPT" else a for a in command]
+        with pytest.raises(SystemExit) as info:
+            main([*args, "--data", str(data_dir), "--out", str(tmp_path / "out")])
+        assert info.value.code == 2
+        self._assert_one_error_line(capsys, "--train-fraction", "(0, 1)")
+
+    def test_batch_larger_than_training_split(self, data_dir, config_file, tmp_path, capsys):
+        code = main(["train", "--data", str(data_dir), "--config", str(config_file),
+                     "--batch-size", "64", "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 2
+        self._assert_one_error_line(capsys, "smaller than one batch of 64")
+
     def test_ragged_probability_file(self, tmp_path, capsys):
         path = tmp_path / "probs.txt"
         path.write_text("a/0 0.5 0.5\na/1 1.0\n")

@@ -22,6 +22,7 @@ from scenekit.tensor import (
     add,
     backward,
     concat,
+    from_op,
     matmul,
     mul,
     no_grad,
@@ -114,6 +115,23 @@ class TestMatmul:
     def test_batch_extent_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+
+    @pytest.mark.parametrize("lead", [(1,), (5,), (7,), (2, 3), (3, 1), (4, 6)])
+    def test_shared_weight_gradients_match_batched_sum(self, lead):
+        """A rank-2 weight's gradients equal the per-example products, summed."""
+        rng = np.random.default_rng(sum(lead) * 31 + len(lead))
+        for _ in range(3):
+            m, k, n = (int(e) for e in rng.integers(1, 13, size=3))
+            a = Tensor(rng.standard_normal((*lead, m, k)), requires_grad=True)
+            b = Tensor(rng.standard_normal((k, n)), requires_grad=True)
+            g = rng.standard_normal((*lead, m, n))
+            ga, gb = matmul(a, b).node.vjp(g)
+            axes = tuple(range(len(lead)))
+            want_b = (np.swapaxes(a.data, -1, -2) @ g).sum(axis=axes)
+            want_a = g @ b.data.T
+            assert ga.shape == a.shape and gb.shape == b.shape
+            assert np.abs(gb - want_b).max() <= 1e-12 * np.abs(want_b).max()
+            assert np.abs(ga - want_a).max() <= 1e-12 * np.abs(want_a).max()
 
 
 class TestSoftmax:
@@ -246,6 +264,29 @@ class TestBackward:
         backward(relu(p).sum())
         assert p.grad.shape == (2, 3, 4)
 
+    def test_three_uses_through_views_get_three_gradients(self):
+        # add hands g itself to both inputs and reshape a view of it, so
+        # accumulating in place would scale the shared array.
+        p = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        w = np.random.default_rng(4).standard_normal((2, 3))
+        twice = add(p, reshape(reshape(p, (3, 2)), (2, 3)))
+        backward(mul(add(twice, p), Tensor(w)).sum())
+        assert np.array_equal(p.grad, 3.0 * w)
+
+    def test_vjp_upstream_gradient_is_left_unchanged(self):
+        seen = []
+
+        def vjp(g):
+            seen.append((g, g.copy()))
+            return g, g
+
+        p = Tensor([1.0, -2.0, 0.5], requires_grad=True)
+        out = from_op("pair", (p, p), p.data * 2.0, vjp)
+        backward(mul(out, Tensor([3.0, 4.0, 5.0])).sum())
+        (g, before), = seen
+        assert np.array_equal(g, before)
+        assert np.array_equal(p.grad, [6.0, 8.0, 10.0])
+
 
 def _op_gradcheck(build, shapes, seed, n_probes=20):
     """Finite-difference check for a single op under random inputs."""
@@ -285,6 +326,9 @@ class TestGradientRulesAgainstFiniteDifferences:
 
     def test_matmul_mixed_rank(self):
         _op_gradcheck(lambda a, b: matmul(a, b), [(2, 3, 4), (4, 5)], seed=16)
+
+    def test_matmul_rank4_by_rank2(self):
+        _op_gradcheck(lambda a, b: matmul(a, b), [(2, 3, 4, 5), (5, 3)], seed=23)
 
     def test_softmax_last(self):
         _op_gradcheck(lambda a: softmax_last(a), [(3, 5)], seed=17)
