@@ -166,14 +166,23 @@ def kl_divergence_from_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 
 def l2_penalty(params: ModelParams) -> Tensor:
-    """Sum of squared entries over every trainable parameter, on the tape."""
-    total: Tensor | None = None
-    for _, p in params.items():
-        term = mul(p, p).sum()
-        total = term if total is None else add(total, term)
-    if total is None:
-        return Tensor(np.asarray(0.0))
-    return total
+    """Sum of squared entries over every trainable parameter, as one tape node.
+
+    Works on the flat value buffer (:meth:`ModelParams.flat`). The squares
+    are summed per parameter and the sums added in insertion order, so the
+    value has the bits of a chain of per-tensor ``mul``/``sum``/``add``
+    nodes. The gradient (2g)·p is one multiply over the buffer, bitwise
+    equal to that chain's g·p + g·p, handed back as per-parameter views.
+    """
+    data = params.flat()[0]
+    total = 0.0
+    for sq in params.views(data * data):
+        total += sq.sum()
+
+    def vjp(g: np.ndarray):
+        return params.views((2.0 * float(g)) * data)
+
+    return from_op("l2", params.tensors(), np.asarray(total), vjp)
 
 
 def kl_loss(probs: Tensor, targets: np.ndarray, params: ModelParams,

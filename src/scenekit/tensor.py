@@ -66,7 +66,8 @@ class Tensor:
 
     Leaf tensors created with ``requires_grad=True`` are parameters: after
     :func:`backward` their ``grad`` holds dLoss/dParam (accumulated
-    additively across calls until :meth:`zero_grad`).
+    additively across the backward calls of successive graphs until
+    something zeroes it, such as ``ModelParams.zero_grads``).
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node")
@@ -91,10 +92,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad.fill(0.0)
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -341,14 +338,19 @@ def backward(loss: Tensor) -> None:
 
     ``loss`` must be a single-element tensor produced under grad tracking
     (or itself a tracked leaf). Gradients add across repeated parameter
-    uses and across successive backward calls.
+    uses and across the backward calls of successive graphs. The walk
+    consumes the graph: each tensor drops its tape node once its VJP has
+    run, so the forward values the closures hold are freed as it goes,
+    and a graph can be walked once.
     """
     if not loss.tracked():
         raise AutodiffError("backward called on an untracked tensor")
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for t in reversed(_topo_order(loss)):
+    order = _topo_order(loss)
+    while order:
+        t = order.pop()
         g = grads.pop(id(t), None)
         if g is None:
             continue
@@ -356,9 +358,10 @@ def backward(loss: Tensor) -> None:
             if t.grad is None:
                 t.grad = np.zeros_like(t.data)
             t.grad += g.reshape(t.data.shape)
-        if t.node is None:
+        node, t.node = t.node, None
+        if node is None:
             continue
-        for inp, gi in zip(t.node.inputs, t.node.vjp(g)):
+        for inp, gi in zip(node.inputs, node.vjp(g)):
             if gi is None or not inp.tracked():
                 continue
             # Never in place: gi may be a view of g, or an array another

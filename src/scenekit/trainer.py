@@ -116,29 +116,59 @@ def load_history(path: Path) -> TrainHistory:
 
 @dataclass
 class OptimizerState:
+    """Adam's step count and moments.
+
+    The moments live in one flat buffer each, laid out like the
+    parameters' (:meth:`ModelParams.flat`) and allocated at the first
+    step, with two scratch buffers beside them. ``first_moment`` and
+    ``second_moment`` map each parameter name to its view of them; both
+    are empty before the first step.
+    """
+
     step: int = 0
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
+    # Rows m, v and two scratch rows, so a step allocates no temporaries.
+    _work: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def optimizer_step(params: ModelParams, state: OptimizerState,
                    cfg: TrainConfig) -> None:
-    """One Adam update from the accumulated grads."""
-    lr = cfg.effective_learning_rate
-    for name, p in params.items():
-        if not np.isfinite(p.grad).all():
-            raise TrainingDivergedError(f"non-finite gradient in {name!r}")
+    """One Adam update from the accumulated grads, in place over the flat buffers.
+
+    Writes through every parameter's ``data`` view (the views contract of
+    :mod:`scenekit.params`), so tensors and graphs holding a parameter
+    see the new values. Per element the arithmetic is the textbook
+    order: m += (1-b1)(g-m), v += (1-b2)(g*g-v), then
+    p -= lr*(m/c1) / (sqrt(v/c2) + eps) with ci = 1 - bi**t.
+    """
+    data, grad = params.flat()
+    if not np.isfinite(grad).all():
+        name = next(n for n, p in params.items() if not np.isfinite(p.grad).all())
+        raise TrainingDivergedError(
+            f"non-finite gradient in {name!r} at step {state.step + 1}")
+    if state._work is None:
+        state._work = np.zeros((4, data.size))
+        state.first_moment = dict(zip(params.names(), params.views(state._work[0])))
+        state.second_moment = dict(zip(params.names(), params.views(state._work[1])))
+    m, v, s1, s2 = state._work
     state.step += 1
     t = state.step
     b1, b2 = cfg.beta1, cfg.beta2
-    for name, p in params.items():
-        m = state.first_moment.setdefault(name, np.zeros_like(p.data))
-        v = state.second_moment.setdefault(name, np.zeros_like(p.data))
-        m += (1.0 - b1) * (p.grad - m)
-        v += (1.0 - b2) * (p.grad * p.grad - v)
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon)
+    np.subtract(grad, m, out=s1)
+    s1 *= 1.0 - b1
+    m += s1
+    np.multiply(grad, grad, out=s1)
+    s1 -= v
+    s1 *= 1.0 - b2
+    v += s1
+    np.divide(m, 1.0 - b1 ** t, out=s1)
+    s1 *= cfg.effective_learning_rate
+    np.divide(v, 1.0 - b2 ** t, out=s2)
+    np.sqrt(s2, out=s2)
+    s2 += cfg.adam_epsilon
+    s1 /= s2
+    data -= s1
 
 
 # --- batch assembly ----------------------------------------------------------
@@ -238,7 +268,10 @@ def train(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
             if not np.isfinite(loss_val):
                 raise TrainingDivergedError(f"epoch {epoch}: loss is {loss_val}")
             backward(loss)
-            optimizer_step(params, state, cfg=train_cfg)
+            try:
+                optimizer_step(params, state, cfg=train_cfg)
+            except TrainingDivergedError as exc:
+                raise TrainingDivergedError(f"epoch {epoch}: {exc}") from exc
             losses.append(loss_val)
             accs.append(100.0 * float(
                 (probs.data.argmax(axis=1) == batch.labels.argmax(axis=1)).mean()))

@@ -7,11 +7,16 @@ benchmarks and dominate the runtime; they are marked ``slow``, so
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scenekit
 from scenekit.attention import AttentionConfig, attention_pool, param_shapes as attn_shapes
 from scenekit.augment import LabeledBatch, mixup_expand, rotate
 from scenekit.backbone import BackboneConfig, ConvStage
@@ -270,7 +275,8 @@ def test_criterion_8_ensemble_report(capsys):
                report_ok and identical_acc == single_acc)
 
 
-def test_criterion_9_train_determinism(tmp_path):
+def _criterion_9_inputs(tmp_path):
+    """Criterion 9's dataset tree and desk config file."""
     data_dir = tmp_path / "data"
     write_dataset_tree(four_class_dataset(per_class=4, size=12, seed=5), data_dir)
     config = tmp_path / "desk.cfg"
@@ -279,6 +285,11 @@ def test_criterion_9_train_determinism(tmp_path):
         "[attention]\nnum_heads = 2\nkey_dim = 4\n\n"
         "[head]\nhidden_width = 16\n\n"
         "[train]\nepochs = 2\nbatch_size = 8\ncrop_reduction = 2\nerase_size = 3\n")
+    return data_dir, config
+
+
+def test_criterion_9_train_determinism(tmp_path):
+    data_dir, config = _criterion_9_inputs(tmp_path)
     blobs = {}
     for name in ("run1", "run2"):
         out = tmp_path / name
@@ -290,6 +301,27 @@ def test_criterion_9_train_determinism(tmp_path):
     _criterion(9, "two `train` runs with identical config and seed produce "
                   "byte-identical checkpoints and histories",
                blobs["run1"] == blobs["run2"])
+
+
+def test_criterion_9_bytes_match_across_blas_thread_counts(tmp_path):
+    # The benchmark pins one BLAS thread and a plain test run leaves BLAS
+    # unpinned. At criterion 9's desk scale the bytes agree across the two;
+    # README's Determinism section says where they do not.
+    data_dir, config = _criterion_9_inputs(tmp_path)
+    src = str(Path(scenekit.__file__).resolve().parents[1])
+    blobs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c",
+                        "import sys; from scenekit.cli import main; sys.exit(main(sys.argv[1:]))",
+                        "train", "--data", str(data_dir), "--config", str(config),
+                        "--seed", "11", "--out", str(out), "--quiet"],
+                       env=env, check=True, timeout=300)
+        blobs.append(((out / "checkpoint.ckpt").read_bytes(),
+                      (out / "history.txt").read_bytes()))
+    assert blobs[0] == blobs[1]
 
 
 def test_criterion_10_split_protocol():

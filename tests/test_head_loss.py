@@ -11,11 +11,13 @@ from scenekit.head import (
     LossConfig,
     dropout_mask,
     kl_loss,
+    l2_penalty,
     mlp_forward,
     param_shapes,
 )
+from scenekit.model import desk_model_config, init_params, model_forward
 from scenekit.params import ModelParams
-from scenekit.tensor import ShapeError, Tensor, backward
+from scenekit.tensor import ShapeError, Tensor, add, backward, mul, scale
 
 
 def make_head_params(cfg: HeadConfig, in_width: int, seed: int,
@@ -216,3 +218,77 @@ class TestKlLoss:
 
         result = finite_difference_check(loss_fn, params, n_probes=60, rng=rng)
         assert result.max_rel_error < 1e-4, result.worst()
+
+
+def graph_ops(root: Tensor) -> list[str]:
+    """The op of every tape node reachable from ``root``."""
+    ops, seen, stack = [], {id(root)}, [root]
+    while stack:
+        t = stack.pop()
+        if t.node is None:
+            continue
+        ops.append(t.node.op)
+        for inp in t.node.inputs:
+            if id(inp) not in seen:
+                seen.add(id(inp))
+                stack.append(inp)
+    return ops
+
+
+class TestL2Penalty:
+    def _params(self, seed=20):
+        return make_head_params(HeadConfig(hidden_width=7, num_classes=3), 5, seed=seed)
+
+    def test_one_node_bitwise_equal_to_mul_sum_reference(self):
+        params, ref_params = self._params(), self._params()
+        c = 0.37 / 2.0
+        fused = scale(l2_penalty(params), c)
+        assert graph_ops(fused) == ["scale", "l2"]
+        total = None
+        for _, p in ref_params.items():
+            term = mul(p, p).sum()
+            total = term if total is None else add(total, term)
+        reference = scale(total, c)
+        assert fused.data.tobytes() == reference.data.tobytes()
+        params.zero_grads()
+        ref_params.zero_grads()
+        backward(fused)
+        backward(reference)
+        for (_, p), (_, q) in zip(params.items(), ref_params.items()):
+            assert p.grad.tobytes() == q.grad.tobytes()
+
+    def test_empty_params_give_untracked_zero(self):
+        out = l2_penalty(ModelParams())
+        assert out.item() == 0.0 and not out.tracked()
+
+    def test_gradient_matches_finite_differences_when_l2_dominates(self):
+        cfg = HeadConfig(hidden_width=6, dropout_rate=0.0, num_classes=3)
+        params = make_head_params(cfg, 4, seed=22)
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.standard_normal((4, 4)))
+        targets = rng.dirichlet(np.ones(3), size=4)
+        loss_cfg = LossConfig(lam=2.0)
+
+        def loss_fn():
+            return kl_loss(mlp_forward(x, params, cfg, training=False),
+                           targets, params, loss_cfg)
+
+        result = finite_difference_check(loss_fn, params, n_probes=40, rng=rng)
+        assert result.max_rel_error < 1e-4, result.worst()
+
+    def test_desk_step_records_no_l2_mul_or_sum_nodes(self):
+        cfg = desk_model_config(num_classes=4)
+        params = init_params(cfg, "direct", rng=np.random.default_rng(24))
+        rng = np.random.default_rng(25)
+        images = Tensor(rng.random((6, 12, 12, 3)))
+        targets = np.eye(4)[rng.integers(0, 4, size=6)]
+        counts = {}
+        for lam in (0.0, 1e-4):
+            probs = model_forward(images, params, cfg, training=True,
+                                  rng=np.random.default_rng(26))
+            ops = graph_ops(kl_loss(probs, targets, params, LossConfig(lam=lam)))
+            counts[lam] = {op: ops.count(op) for op in ("mul", "sum", "l2", "scale", "add")}
+        without, with_l2 = counts[0.0], counts[1e-4]
+        assert with_l2["mul"] == without["mul"] and with_l2["sum"] == without["sum"]
+        assert with_l2["l2"] == 1 and without["l2"] == 0
+        assert with_l2["add"] == without["add"] + 1

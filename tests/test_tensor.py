@@ -244,6 +244,16 @@ class TestBackward:
         backward(p.sum())
         assert p.grad[0] == 2.0
 
+    def test_backward_consumes_the_graph(self):
+        p = Tensor([1.0, 2.0], requires_grad=True)
+        square = mul(p, p)
+        loss = square.sum()
+        backward(loss)
+        assert loss.node is None and square.node is None
+        assert np.array_equal(p.grad, [2.0, 4.0])
+        with pytest.raises(AutodiffError):
+            backward(loss)
+
     def test_untracked_tensor_rejected(self):
         with pytest.raises(AutodiffError):
             backward(Tensor([1.0]).sum())

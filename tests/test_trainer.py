@@ -63,6 +63,43 @@ class TestOptimizerStep:
         with pytest.raises(TrainingDivergedError, match="w"):
             optimizer_step(params, OptimizerState(), small_train_cfg())
 
+    def test_fresh_state_has_no_moments(self):
+        state = OptimizerState()
+        assert state.first_moment == {} and state.second_moment == {}
+        params, _ = self._params(grad=1.0)
+        optimizer_step(params, state, small_train_cfg())
+        assert list(state.first_moment) == list(state.second_moment) == ["w"]
+
+    def test_three_steps_bitwise_equal_to_per_tensor_loop(self):
+        rng = np.random.default_rng(21)
+        shapes = {"a": (4, 3), "zero": (5,), "b": (2, 2, 2), "c": (1,)}
+        params, oracle = ModelParams(), {}
+        for name, shape in shapes.items():
+            values = rng.standard_normal(shape)
+            params.add(name, values)
+            oracle[name] = values.copy()
+        cfg = small_train_cfg(learning_rate=3e-3)
+        state = OptimizerState()
+        m = {n: np.zeros(s) for n, s in shapes.items()}
+        v = {n: np.zeros(s) for n, s in shapes.items()}
+        b1, b2, lr = cfg.beta1, cfg.beta2, cfg.effective_learning_rate
+        for t in (1, 2, 3):
+            for name, shape in shapes.items():
+                g = np.zeros(shape) if name == "zero" else rng.standard_normal(shape)
+                params[name].grad[...] = g
+                # Textbook Adam, one tensor at a time, with its own temporaries.
+                m[name] += (1.0 - b1) * (g - m[name])
+                v[name] += (1.0 - b2) * (g * g - v[name])
+                m_hat = m[name] / (1.0 - b1 ** t)
+                v_hat = v[name] / (1.0 - b2 ** t)
+                oracle[name] -= lr * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon)
+            optimizer_step(params, state, cfg)
+            assert state.step == t
+            for name in shapes:
+                assert params[name].data.tobytes() == oracle[name].tobytes()
+                assert state.first_moment[name].tobytes() == m[name].tobytes()
+                assert state.second_moment[name].tobytes() == v[name].tobytes()
+
 
 class TestTrainingBatches:
     def _streams(self, seed=0):
@@ -147,6 +184,20 @@ class TestTrain:
         ds = four_class_dataset(per_class=1, size=12, seed=3)
         with pytest.raises(ValueError, match="smaller than one batch"):
             train(ds, small_model(), small_train_cfg(batch_size=32))
+
+    def test_non_finite_gradient_names_parameter_step_and_epoch(self, monkeypatch):
+        steps_per_epoch = 11  # this dataset's training split in batches of 8
+
+        def poisoned_step(params, state, cfg):
+            if state.step == steps_per_epoch + 1:  # epoch 2's second update
+                params["head.fc2.b"].grad[1] = np.nan
+            optimizer_step(params, state, cfg)
+
+        monkeypatch.setattr("scenekit.trainer.optimizer_step", poisoned_step)
+        with pytest.raises(TrainingDivergedError) as info:
+            train(self._dataset(), small_model(), small_train_cfg(epochs=3))
+        assert str(info.value) == (f"epoch 2: non-finite gradient in 'head.fc2.b' "
+                                   f"at step {steps_per_epoch + 2}")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # lr 1e100 overflows on purpose
     def test_divergence_aborts_with_diagnostic(self):
