@@ -10,20 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .configdict import ConfigDict
 from .params import ModelParams
-from .tensor import (
-    ShapeError,
-    Tensor,
-    add,
-    concat,
-    matmul,
-    pool_axis,
-    reshape,
-    scale,
-    softmax_last,
-    transpose,
-)
+from .tensor import NumericError, ShapeError, Tensor, concat, from_op, pool_axis
 
 POOL_MODES = ("average", "max")
 
@@ -49,6 +40,7 @@ class AttentionConfig(ConfigDict):
 
 
 STREAM_PREFIXES = ("attn.w", "attn.h")
+_PARAM_KINDS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
 
 
 def param_shapes(cfg: AttentionConfig, channels: int) -> list[tuple[str, tuple[int, ...]]]:
@@ -64,36 +56,77 @@ def param_shapes(cfg: AttentionConfig, channels: int) -> list[tuple[str, tuple[i
     return shapes
 
 
-def _project(seq: Tensor, params: ModelParams, prefix: str, kind: str,
-             heads: int, dim: int) -> Tensor:
-    b, length, _ = seq.shape
-    out = add(matmul(seq, params[f"{prefix}.w{kind}"]), params[f"{prefix}.b{kind}"])
-    out = reshape(out, (b, length, heads, dim))
-    return transpose(out, (0, 2, 1, 3))  # [B, heads, L, dim]
-
-
 def multihead_attention(seq: Tensor, cfg: AttentionConfig, params: ModelParams,
                         prefix: str, return_weights: bool = False):
-    """Scaled dot-product multihead self-attention over [B, L, C].
+    """Scaled dot-product multihead self-attention over [B, L, C], as one tape node.
 
     Output shape equals input shape; no positional encoding, so the
-    operation is equivariant to permutations along L.
+    operation is equivariant to permutations along L. The forward and its
+    VJP are plain numpy: the four projections are GEMMs over the B·L rows,
+    and the heads are strided views [B, heads, L, dim] of them. With
+    ``return_weights`` the attention weights [B, heads, L, L] are returned
+    too, as an untracked tensor. Non-finite scores raise ``NumericError``.
     """
     if seq.ndim != 3:
         raise ShapeError(f"multihead_attention expects [B, L, C], got {seq.shape}")
+    b, length, channels = seq.shape
     heads, dim = cfg.num_heads, cfg.key_dim
-    q = _project(seq, params, prefix, "q", heads, dim)
-    k = _project(seq, params, prefix, "k", heads, dim)
-    v = _project(seq, params, prefix, "v", heads, dim)
-    scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dim))
-    weights = softmax_last(scores)  # [B, heads, L, L]
-    ctx = matmul(weights, v)
-    b, length, _ = seq.shape
-    merged = reshape(transpose(ctx, (0, 2, 1, 3)), (b, length, heads * dim))
-    out = add(matmul(merged, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
+    inputs = (seq, *(params[f"{prefix}.{kind}"] for kind in _PARAM_KINDS))
+    wq, bq, wk, bk, wv, bv, wo, bo = (t.data for t in inputs[1:])
+    x = seq.data.reshape(b * length, channels)
+    c = 1.0 / math.sqrt(dim)
+
+    def split_heads(m: np.ndarray) -> np.ndarray:  # [B·L, heads·dim] -> [B, heads, L, dim]
+        return m.reshape(b, length, heads, dim).transpose(0, 2, 1, 3)
+
+    def matmul_merged(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+        # m1 @ m2 over [B, heads, ·, ·], written straight into the
+        # [B·L, heads·dim] layout: the same bits as a copy after the product.
+        out = np.empty((b, length, heads, dim))
+        np.matmul(m1, m2, out=out.transpose(0, 2, 1, 3))
+        return out.reshape(b * length, heads * dim)
+
+    def project(w: np.ndarray, bias: np.ndarray) -> np.ndarray:
+        out = x @ w
+        out += bias
+        return split_heads(out)
+
+    # Non-finite input ends in the NumericError below, not in a RuntimeWarning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        q, k, v = project(wq, bq), project(wk, bk), project(wv, bv)
+        weights = q @ k.swapaxes(-1, -2)
+        weights *= c
+    if not np.isfinite(weights).all():
+        raise NumericError("multihead_attention: non-finite attention scores")
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    merged = matmul_merged(weights, v)
+    out = merged @ wo
+    out += bo
+
+    def vjp(g: np.ndarray):
+        g = g.reshape(b * length, channels)
+        g_ctx = split_heads(g @ wo.T)
+        g_weights = g_ctx @ v.swapaxes(-1, -2)
+        g_scores = g_weights - (g_weights * weights).sum(axis=-1, keepdims=True)
+        g_scores *= weights
+        g_scores *= c
+        g_q = matmul_merged(g_scores, k)
+        g_k = matmul_merged(g_scores.swapaxes(-1, -2), q)
+        g_v = matmul_merged(weights.swapaxes(-1, -2), g_ctx)
+        g_x = None
+        if seq.tracked():
+            g_x = (g_q @ wq.T + g_k @ wk.T + g_v @ wv.T).reshape(seq.shape)
+        # bk adds q_i·bk to every score of row i, and softmax ignores a
+        # per-row shift, so its gradient is exactly zero.
+        return (g_x, x.T @ g_q, g_q.sum(axis=0), x.T @ g_k, None,
+                x.T @ g_v, g_v.sum(axis=0), merged.T @ g, g.sum(axis=0))
+
+    result = from_op("attention", inputs, out.reshape(seq.shape), vjp)
     if return_weights:
-        return out, weights
-    return out
+        return result, Tensor(weights)
+    return result
 
 
 def attention_pool(fmap: Tensor, cfg: AttentionConfig, params: ModelParams) -> Tensor:

@@ -114,10 +114,11 @@ def from_op(op: str, inputs: Sequence[Tensor], data: np.ndarray,
     """Wrap a forward result, registering a tape node when tracking is on.
 
     Extension point for modules adding fused operations (convolution,
-    KL divergence): they supply the forward array and the VJP closure.
-    A VJP may return ``g`` itself or views of it, but must never write
-    into ``g`` or into an array it has returned: :func:`backward` keeps
-    returned arrays as they are and may hand one to several consumers.
+    attention, KL divergence): they supply the forward array and the VJP
+    closure. A VJP may return ``g`` itself or views of it, but must never
+    write into ``g`` or into an array it has returned: :func:`backward`
+    keeps returned arrays as they are and may hand one to several
+    consumers.
     """
     out = Tensor(data)
     if _grad_enabled and any(t.tracked() for t in inputs):
@@ -280,26 +281,6 @@ def concat(xs: Sequence[Tensor], axis: int) -> Tensor:
         return np.split(g, offsets, axis=axis)
 
     return from_op("concat", tuple(xs), np.concatenate([t.data for t in xs], axis=axis), vjp)
-
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    """A view of ``x`` when its data is contiguous; no op writes its output."""
-    old = x.shape
-
-    def vjp(g: np.ndarray):
-        return (g.reshape(old),)
-
-    return from_op("reshape", (x,), x.data.reshape(shape), vjp)
-
-
-def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    inverse = tuple(np.argsort(axes))
-
-    def vjp(g: np.ndarray):
-        return (np.transpose(g, inverse),)
-
-    # Tensor stores row-major data, so it copies this view once.
-    return from_op("transpose", (x,), np.transpose(x.data, axes), vjp)
 
 
 def tensor_sum(x: Tensor) -> Tensor:

@@ -1,9 +1,12 @@
 """Attention pooling contracts: shapes, structure, degenerate anchors."""
 
+import math
+
 import numpy as np
 import pytest
 
 from scenekit.attention import (
+    STREAM_PREFIXES,
     AttentionConfig,
     attention_pool,
     global_pool,
@@ -11,8 +14,9 @@ from scenekit.attention import (
     param_shapes,
 )
 from scenekit.gradcheck import finite_difference_check
+from scenekit.head import l2_penalty
 from scenekit.params import ModelParams
-from scenekit.tensor import Tensor, mul
+from scenekit.tensor import NumericError, Tensor, add, backward, mul, scale
 
 
 def make_params(cfg: AttentionConfig, channels: int, seed: int,
@@ -22,6 +26,46 @@ def make_params(cfg: AttentionConfig, channels: int, seed: int,
     for name, shape in param_shapes(cfg, channels):
         params.add(name, rng.standard_normal(shape) * scale)
     return params
+
+
+def reference_attention(x: np.ndarray, p: dict, heads: int, dim: int, g: np.ndarray):
+    """Head-by-head forward and VJP with 2-D products, one example at a time.
+
+    Returns the output, the input gradient and the parameter gradients
+    (keyed "wq", "bq", ...) for the upstream gradient ``g``.
+    """
+    out = np.empty_like(x)
+    gx = np.zeros_like(x)
+    grads = {name: np.zeros_like(value) for name, value in p.items()}
+    for n in range(x.shape[0]):
+        xn, gn = x[n], g[n]
+        proj = {kind: xn @ p["w" + kind] + p["b" + kind] for kind in "qkv"}
+        ctx = np.zeros_like(proj["v"])
+        attn = []
+        for h in range(heads):
+            cols = slice(h * dim, (h + 1) * dim)
+            s = proj["q"][:, cols] @ proj["k"][:, cols].T / math.sqrt(dim)
+            a = np.exp(s - s.max(axis=1, keepdims=True))
+            a /= a.sum(axis=1, keepdims=True)
+            ctx[:, cols] = a @ proj["v"][:, cols]
+            attn.append(a)
+        out[n] = ctx @ p["wo"] + p["bo"]
+        grads["wo"] += ctx.T @ gn
+        grads["bo"] += gn.sum(axis=0)
+        g_ctx = gn @ p["wo"].T
+        g_proj = {kind: np.zeros_like(ctx) for kind in "qkv"}
+        for h, a in enumerate(attn):
+            cols = slice(h * dim, (h + 1) * dim)
+            g_a = g_ctx[:, cols] @ proj["v"][:, cols].T
+            g_s = a * (g_a - (g_a * a).sum(axis=1, keepdims=True)) / math.sqrt(dim)
+            g_proj["q"][:, cols] = g_s @ proj["k"][:, cols]
+            g_proj["k"][:, cols] = g_s.T @ proj["q"][:, cols]
+            g_proj["v"][:, cols] = a.T @ g_ctx[:, cols]
+        for kind, gm in g_proj.items():
+            grads["w" + kind] += xn.T @ gm
+            grads["b" + kind] += gm.sum(axis=0)
+            gx[n] += gm @ p["w" + kind].T
+    return out, gx, grads
 
 
 class TestMultiheadAttention:
@@ -60,6 +104,45 @@ class TestMultiheadAttention:
         _, weights = multihead_attention(x, cfg, params, "attn.w", return_weights=True)
         sums = weights.data.sum(axis=-1)
         assert np.abs(sums - 1.0).max() < 1e-12
+
+    def test_non_finite_input_raises_numeric_error(self):
+        cfg = AttentionConfig(num_heads=2, key_dim=3)
+        params = make_params(cfg, channels=4, seed=21)
+        x = np.random.default_rng(22).standard_normal((2, 3, 4))
+        x[1, 2, 0] = np.inf
+        with pytest.raises(NumericError):
+            multihead_attention(Tensor(x), cfg, params, "attn.w")
+
+    # (B, L, C, heads, key_dim): heads * key_dim != C, then L = 1, then B = 1.
+    @pytest.mark.parametrize("b, length, c, heads, dim",
+                             [(2, 5, 6, 3, 4), (3, 1, 4, 2, 3), (1, 4, 5, 2, 2)])
+    def test_matches_head_by_head_reference(self, b, length, c, heads, dim):
+        cfg = AttentionConfig(num_heads=heads, key_dim=dim)
+        params = make_params(cfg, channels=c, seed=23)
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal((b, length, c))
+        g = rng.standard_normal((b, length, c))
+        seq = Tensor(x, requires_grad=True)
+        out, weights = multihead_attention(seq, cfg, params, "attn.w", return_weights=True)
+        backward(mul(out, Tensor(g)).sum())
+        p = {name[len("attn.w."):]: t.data for name, t in params.items()
+             if name.startswith("attn.w.")}
+        ref_out, ref_gx, ref_grads = reference_attention(x, p, heads, dim, g)
+
+        def close(a, ref):  # zero with L = 1, where the scores get no gradient
+            return np.abs(a - ref).max() <= 1e-12 * np.abs(ref).max()
+
+        assert close(out.data, ref_out)
+        assert close(seq.grad, ref_gx)
+        for kind, ref in ref_grads.items():
+            fused = params[f"attn.w.{kind}"].grad
+            if kind == "bk":
+                # Exactly zero in the fused op; rounding noise in the loop.
+                assert not fused.any()
+                assert np.abs(ref).max() <= 1e-12 * np.abs(ref_grads["wk"]).max()
+            else:
+                assert close(fused, ref), kind
+        assert np.abs(weights.data.sum(axis=-1) - 1.0).max() < 1e-12
 
     def test_identity_projection_degenerates_to_input(self):
         # heads=1, key_dim=C, identity V/O projections, single position.
@@ -138,6 +221,26 @@ class TestAttentionPool:
 
         result = finite_difference_check(loss_fn, params, n_probes=60, rng=rng)
         assert result.max_rel_error < 1e-4, result.worst()
+
+    def test_key_bias_gradient_is_exactly_zero(self):
+        # Softmax ignores the per-row shift q_i·bk a key bias adds to the
+        # scores, so only the L2 term reaches bk, and exactly.
+        cfg = AttentionConfig(num_heads=2, key_dim=3)
+        c, lam = 4, 0.3
+        params = make_params(cfg, channels=c, seed=25)
+        rng = np.random.default_rng(26)
+        fmap = Tensor(rng.standard_normal((2, 3, 4, c)), requires_grad=True)
+        weights = Tensor(rng.standard_normal((2, 2 * c)))
+        backward(mul(attention_pool(fmap, cfg, params), weights).sum())
+        for prefix in STREAM_PREFIXES:
+            assert not params[f"{prefix}.bk"].grad.any()
+            assert params[f"{prefix}.bq"].grad.any()
+        params.zero_grads()
+        loss = mul(attention_pool(fmap, cfg, params), weights).sum()
+        backward(add(loss, scale(l2_penalty(params), lam / 2.0)))
+        for prefix in STREAM_PREFIXES:
+            bk = params[f"{prefix}.bk"]
+            assert np.array_equal(bk.grad, lam * bk.data)
 
 
 class TestGlobalPool:
